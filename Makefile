@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X mobiledl/internal/version.Version=$(VERSION)"
 
-.PHONY: all build test race vet lint analyze loadcheck tracecheck crashcheck simcheck sim-full cluster-up cluster-check fmt docs-check cover bench serve-bench bench-json
+.PHONY: all build test race vet lint analyze loadcheck tracecheck crashcheck simcheck sim-full cluster-up cluster-check fmt docs-check cover bench serve-bench bench-suite bench-compare
 
 all: build test vet
 
@@ -135,26 +135,19 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Serving throughput at max batch sizes 1/8/32 (requests/sec), plus the
-# traced variants (sampled-out / sampled-all) for trace overhead numbers.
-# The unanchored pattern matches BenchmarkServeThroughputTraced as well, so
-# bench-json snapshots trace overhead alongside the plain throughput runs.
+# traced variants (sampled-out / sampled-all) for trace overhead numbers:
+# the unanchored pattern matches BenchmarkServeThroughputTraced as well.
 serve-bench:
 	$(GO) test -run '^$$' -bench BenchmarkServeThroughput -benchtime 2s .
 
-# Substrate benchmarks worth longer timing runs in the snapshot; the paper
-# artifacts (Table1, Fig5, ...) run once each, these get 1s apiece.
-HOT_BENCH := BenchmarkMatMul|BenchmarkSparseMatMul|BenchmarkGRU|BenchmarkDense|BenchmarkCirculant|BenchmarkServeThroughput|BenchmarkHuffman|BenchmarkSVD
+# The repository benchmark (bench/README.md): four end-to-end workloads, a
+# fresh process each, results in bench/out/. BENCH_ARGS passes extra flags,
+# e.g. BENCH_ARGS='-seconds 4' for a short run or '-traced' for the ladder.
+bench-suite:
+	$(GO) run ./bench -seed 1 $(BENCH_ARGS)
 
-# Machine-readable perf snapshot: runs the full bench suite plus a longer
-# pass over the substrate micro-benches, and writes BENCH_<date>.json
-# (name, ns/op, allocs/op, req/s) so the perf trajectory is tracked in-repo
-# across PRs. Later duplicate results override earlier ones. Each run is its
-# own recipe line so a failing benchmark aborts the target instead of
-# silently snapshotting partial output.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . > .bench_raw.txt
-	$(GO) test -run '^$$' -bench '$(HOT_BENCH)' -benchmem -benchtime 1s . >> .bench_raw.txt
-	$(GO) run ./cmd/benchjson < .bench_raw.txt > .bench_snapshot.json
-	mv .bench_snapshot.json BENCH_$$(date -u +%Y-%m-%d).json
-	@rm -f .bench_raw.txt
-	@ls -l BENCH_*.json
+# Diff two result files of bench-suite: NEW against its base BASE (ratio,
+# bound, ok / worse / unresolved; exit 1 on worse). With BASE alone, the
+# spread table of that file.
+bench-compare:
+	$(GO) run ./bench -compare $(BASE) $(NEW)

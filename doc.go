@@ -59,10 +59,10 @@
 // # Train-to-serve loop
 //
 // internal/fedserve closes the loop between training and serving: a
-// Coordinator runs federated rounds continuously — device eligibility via
-// federated.Scheduler, parallel client fan-out through the
-// federated.Trainer seam, staleness-bounded async merging, optional DP
-// aggregation from internal/privacy — and hot-publishes every accepted
+// Coordinator runs synchronous federated rounds continuously — device
+// eligibility via federated.Scheduler, parallel client training on
+// federated.FanOut, one server step at the barrier (federated.MergeWeighted,
+// or privacy.DPFedAvgStep with DP on) — and hot-publishes every accepted
 // global model into the serve.Registry with round/accuracy provenance, so
 // predict traffic migrates to better models mid-flight. The /v1/train
 // control plane (start, pause, status) mounts next to the serving API in
@@ -93,6 +93,7 @@
 // concurrency-safe); the serve batcher and executor pool batch and gather
 // buffers per worker. When adding a hot path, compute into pooled scratch,
 // Put it before returning, and return only fresh matrices. `make
-// bench-json` snapshots the benchmark suite to BENCH_<date>.json so perf
-// changes stay visible in review.
+// bench-suite` runs the repository benchmark in bench/ and `make
+// bench-compare` diffs two of its result files, so perf changes stay
+// visible in review.
 package mobiledl

@@ -10,8 +10,8 @@ import (
 // implementation can vary behavior per client and per round — the seam
 // scenario simulators use to inject heterogeneous device profiles, churn,
 // stragglers, and faulty or adversarial updates without the aggregation
-// layer knowing. Values passed as a coordinator's Trainer are probed for
-// this interface; plain Trainers keep the identity-free path.
+// layer knowing. FanOut probes its Trainer for this interface; plain
+// Trainers keep the identity-free path.
 //
 // The same contract as Trainer applies: implementations must be safe for
 // concurrent calls, and all randomness must derive from (round, k, seed) so

@@ -13,24 +13,28 @@
 // current global parameter values and a deterministic seed, produce one
 // client's round contribution (ClientResult). SGDTrainer is the reference
 // implementation — fresh factory-built model, E local epochs of minibatch
-// SGD — and FanOut runs one round's selected cohort concurrently across a
-// GOMAXPROCS-bounded worker pool. Because every client's randomness derives
-// from a pre-drawn seed and results merge in selection order, a parallel
-// round reproduces the sequential one bit-for-bit (see
-// TestFedAvgParallelMatchesSequential and BenchmarkFedRound).
+// SGD — and FanOut, the only fan-out in the tree, runs one round's selected
+// cohort concurrently across a GOMAXPROCS-bounded worker pool and waits for
+// all of it. Each client comes back as an Update: its result or its error,
+// its index, and the time window a worker spent on it. Because every
+// client's randomness derives from a pre-drawn seed and results merge in
+// selection order, a parallel round reproduces the sequential one
+// bit-for-bit (see TestFedAvgParallelMatchesSequential and
+// BenchmarkFedRound).
 //
-// The synchronous entry points are thin wrappers over that machinery:
+// The entry points are thin wrappers over that machinery:
 //
 //   - RunFedAvg: per round, SelectRound draws the eligible cohort and seeds,
-//     FanOut trains it in parallel, and MergeWeighted folds the n_k/n
-//     weighted average into the global model at a barrier.
+//     FanOut trains it in parallel, and MergeWeighted — the only FedAvg
+//     server step — folds the n_k/n weighted average into the global model
+//     at the barrier.
 //   - RunSelectiveSGD: stays sequential by design — each participant must
 //     see the freshest global parameters, including uploads from earlier in
 //     the same round.
 //
 // Package privacy reuses the same seam for DP-FedAvg (clipped, noised
 // deltas), and internal/fedserve builds the continuous train-to-serve
-// coordinator on top of it: rounds run forever, accepted global models are
-// hot-published into a serve.Registry. See ARCHITECTURE.md at the repository
+// coordinator on FanOut and MergeWeighted: rounds run forever, accepted
+// global models are hot-published into a serve.Registry. See ARCHITECTURE.md at the repository
 // root for the full train → publish → serve loop.
 package federated

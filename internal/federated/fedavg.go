@@ -29,8 +29,8 @@ type ModelFactory func() (*nn.Sequential, error)
 type RoundStats struct {
 	Round     int
 	TrainLoss float64
-	// Accuracy is the evaluation result for this round (NaN if the round
-	// was not evaluated; see Config.EvalEvery).
+	// Accuracy is the evaluation result for this round (-1 if the round was
+	// not evaluated; see Config.EvalEvery).
 	Accuracy float64
 	// CumulativeUpBytes / CumulativeDownBytes count all client-server
 	// traffic up to and including this round.
@@ -162,14 +162,14 @@ func RunFedAvg(factory ModelFactory, shards []*data.ClientShard, classes int, cf
 		}
 		m := len(selected)
 
-		updates, err := FanOut(trainer, shards, selected, globalVals, seeds, cfg.Workers)
+		updates, err := FanOut(trainer, shards, round, selected, globalVals, seeds, cfg.Workers)
 		if err != nil {
 			return nil, nil, fmt.Errorf("round %d: %w", round, err)
 		}
 
-		roundLoss, err := MergeWeighted(globalVals, updates)
+		roundLoss, err := MergeWeighted(globalVals, updates, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("round %d: %w", round, err)
 		}
 
 		downBytes += int64(m) * paramBytes // model broadcast
@@ -200,30 +200,44 @@ func RunFedAvg(factory ModelFactory, shards []*data.ClientShard, classes int, cf
 	return global, stats, nil
 }
 
-// MergeWeighted overwrites the global parameter values with the n_k/n
-// weighted average of the client results — the FedAvg server step,
-// w_{t+1} = sum_k (n_k / n) w^k_{t+1} — accumulating in place so the merge
-// allocates nothing. It returns the sample-weighted mean training loss.
-func MergeWeighted(global []*tensor.Matrix, updates []ClientResult) (float64, error) {
-	var totalN int
-	var loss float64
-	for _, u := range updates {
-		totalN += u.N
+// MergeWeighted overwrites the global parameter values with the weighted
+// average of the client results — the FedAvg server step,
+// w_{t+1} = sum_k (a_k / A) w^k_{t+1} — accumulating in place so the merge
+// allocates nothing. weights[i] is a_k for updates[i]; nil means a_k = n_k,
+// the paper's plain n_k/n average. A failed update is refused before the
+// global is touched, so callers that tolerate client failures filter first.
+// It returns the sample-weighted mean training loss.
+func MergeWeighted(global []*tensor.Matrix, updates []Update, weights []float64) (float64, error) {
+	if weights != nil && len(weights) != len(updates) {
+		return 0, fmt.Errorf("%w: %d weights for %d updates", ErrConfig, len(weights), len(updates))
+	}
+	weight := func(i int) float64 {
+		if weights == nil {
+			return float64(updates[i].N)
+		}
+		return weights[i]
+	}
+	var totalW, totalN, loss float64
+	for i, u := range updates {
+		if u.Err != nil {
+			return 0, fmt.Errorf("client %d: %w", u.Client, u.Err)
+		}
+		totalW += weight(i)
+		totalN += float64(u.N)
 		loss += u.Loss * float64(u.N)
 	}
-	if totalN == 0 {
-		return 0, fmt.Errorf("%w: merge with no samples", ErrConfig)
+	if totalW <= 0 || totalN == 0 {
+		return 0, fmt.Errorf("%w: merge with no samples or zero total weight", ErrConfig)
 	}
-	loss /= float64(totalN)
 	for pi, gv := range global {
 		gv.Zero()
-		for _, u := range updates {
-			if err := tensor.AxpyInPlace(gv, float64(u.N)/float64(totalN), u.Weights[pi]); err != nil {
+		for i, u := range updates {
+			if err := tensor.AxpyInPlace(gv, weight(i)/totalW, u.Weights[pi]); err != nil {
 				return 0, err
 			}
 		}
 	}
-	return loss, nil
+	return loss / totalN, nil
 }
 
 // AccuracyEval builds an Eval callback scoring classification accuracy on a

@@ -90,7 +90,7 @@ func (p *participant) snapshotInto() error {
 // algorithm's value comes from each participant seeing the freshest global
 // parameters — including the uploads of participants earlier in the same
 // round — so a parallel fan-out would change the scheme, not just its speed.
-// Parallel client training lives in FanOut and the fedserve coordinator.
+// Parallel client training lives in FanOut.
 func RunSelectiveSGD(factory ModelFactory, shards []*data.ClientShard, classes int, cfg SelectiveSGDConfig) (*nn.Sequential, []RoundStats, error) {
 	if err := cfg.validate(len(shards)); err != nil {
 		return nil, nil, err

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"mobiledl/internal/data"
 	"mobiledl/internal/nn"
@@ -102,15 +104,34 @@ func SetWeights(params []*nn.Param, vals []*tensor.Matrix) error {
 	return nil
 }
 
+// Update is one client's outcome of a fanned-out round: the trainer's result
+// or its error, the client it belongs to, and the wall-clock window a worker
+// spent on it. The times feed trace spans and operator reports only; nothing
+// that reaches the global model may depend on them.
+type Update struct {
+	ClientResult
+	Client     int
+	Err        error
+	Start, End time.Time
+}
+
 // FanOut trains one round's selected clients concurrently across a bounded
-// worker pool and returns their results in selection order: result i is
-// always client selected[i] trained from seeds[i], so the output is
-// independent of goroutine scheduling and a parallel round reproduces the
-// sequential one bit-for-bit. workers <= 0 sizes the pool to GOMAXPROCS.
-// The first client error (lowest selection index) is returned.
-func FanOut(t Trainer, shards []*data.ClientShard, selected []int, global []*tensor.Matrix, seeds []int64, workers int) ([]ClientResult, error) {
+// worker pool, waits for all of them, and returns their outcomes in selection
+// order: update i is always client selected[i] trained from seeds[i], so the
+// output is independent of goroutine scheduling and a parallel round
+// reproduces the sequential one bit-for-bit. A client's training error is
+// recorded in its Update and the rest of the cohort still trains; only a
+// malformed call returns an error. A Trainer that also implements
+// ClientTrainer receives (round, k) with each call. workers <= 0 sizes the
+// pool to GOMAXPROCS.
+func FanOut(t Trainer, shards []*data.ClientShard, round int, selected []int, global []*tensor.Matrix, seeds []int64, workers int) ([]Update, error) {
 	if len(selected) != len(seeds) {
 		return nil, fmt.Errorf("%w: %d selected clients, %d seeds", ErrConfig, len(selected), len(seeds))
+	}
+	for _, k := range selected {
+		if k < 0 || k >= len(shards) {
+			return nil, fmt.Errorf("%w: client index %d of %d shards", ErrConfig, k, len(shards))
+		}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -118,33 +139,33 @@ func FanOut(t Trainer, shards []*data.ClientShard, selected []int, global []*ten
 	if workers > len(selected) {
 		workers = len(selected)
 	}
-	results := make([]ClientResult, len(selected))
-	errs := make([]error, len(selected))
-	jobs := make(chan int)
+	perClient, _ := t.(ClientTrainer)
+	updates := make([]Update, len(selected))
+	// Workers claim the next index themselves, so a free worker never waits
+	// for the calling goroutine to be scheduled before it can start a client.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				k := selected[i]
-				if k < 0 || k >= len(shards) {
-					errs[i] = fmt.Errorf("%w: client index %d of %d shards", ErrConfig, k, len(shards))
-					continue
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(selected) {
+					return
 				}
-				results[i], errs[i] = t.TrainClient(shards[k], global, seeds[i])
+				u := &updates[i]
+				u.Client = selected[i]
+				u.Start = time.Now()
+				if perClient != nil {
+					u.ClientResult, u.Err = perClient.TrainRoundClient(round, u.Client, shards[u.Client], global, seeds[i])
+				} else {
+					u.ClientResult, u.Err = t.TrainClient(shards[u.Client], global, seeds[i])
+				}
+				u.End = time.Now()
 			}
 		}()
 	}
-	for i := range selected {
-		jobs <- i
-	}
-	close(jobs)
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("client %d: %w", selected[i], err)
-		}
-	}
-	return results, nil
+	return updates, nil
 }

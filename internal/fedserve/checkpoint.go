@@ -38,7 +38,6 @@ type checkpointWire struct {
 	BestAccuracy float64
 
 	MergedUpdates  int
-	DroppedStale   int
 	FailedClients  int
 	RejectedRounds int
 	UpBytes        int64
@@ -92,7 +91,7 @@ func (c *Coordinator) resume() (bool, error) {
 		return false, nil
 	}
 	// In-place restore: c.vals aliases the global's parameter tensors, so
-	// decoding into the existing model keeps every dispatch snapshot aligned.
+	// decoding into the existing model keeps them aligned.
 	if err := nn.DecodeWeights(c.global, wire.Weights); err != nil {
 		return false, fmt.Errorf("fedserve: checkpoint weights do not fit the configured architecture: %w", err)
 	}
@@ -103,7 +102,6 @@ func (c *Coordinator) resume() (bool, error) {
 	c.status.LastAccuracy = wire.LastAccuracy
 	c.status.BestAccuracy = wire.BestAccuracy
 	c.status.MergedUpdates = wire.MergedUpdates
-	c.status.DroppedStale = wire.DroppedStale
 	c.status.FailedClients = wire.FailedClients
 	c.status.RejectedRounds = wire.RejectedRounds
 	c.status.UpBytes = wire.UpBytes
@@ -137,7 +135,6 @@ func (c *Coordinator) saveCheckpoint(round int) error {
 		LastAccuracy:   c.status.LastAccuracy,
 		BestAccuracy:   c.status.BestAccuracy,
 		MergedUpdates:  c.status.MergedUpdates,
-		DroppedStale:   c.status.DroppedStale,
 		FailedClients:  c.status.FailedClients,
 		RejectedRounds: c.status.RejectedRounds,
 		UpBytes:        c.status.UpBytes,

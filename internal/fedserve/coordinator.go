@@ -6,10 +6,8 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mobiledl/internal/data"
@@ -46,9 +44,8 @@ const (
 // fixed-denominator estimator over the expected cohort, and Gaussian noise
 // with multiplier Sigma is added — the DP-FedAvg server step (see
 // privacy.RunDPFedAvg). The coordinator's moments accountant reports the
-// cumulative epsilon in Status. DP requires synchronous rounds (Quorum >= 1):
-// the accountant prices one noisy release per round, which staleness-weighted
-// partial merges would invalidate.
+// cumulative epsilon in Status: one noisy release per synchronous round,
+// sampled at q = ClientFraction, or Cohort/len(Shards) when Cohort is set.
 type DPConfig struct {
 	Clip  float64
 	Sigma float64
@@ -57,8 +54,8 @@ type DPConfig struct {
 }
 
 // Config wires a Coordinator: the federated task (factory, shards, held-out
-// eval set), the round knobs, the asynchrony and privacy policies, and the
-// serving registry accepted models publish into.
+// eval set), the round knobs, the privacy policy, and the serving registry
+// accepted models publish into.
 type Config struct {
 	// Factory builds architecture-aligned models: the global model, each
 	// client's local model, and every published serving copy.
@@ -82,15 +79,15 @@ type Config struct {
 	LocalBatch  int
 	LocalLR     float64
 	Seed        int64
-	// Workers sizes the client-training pool (0 = GOMAXPROCS).
+	// Workers sizes each round's client-training pool (0 = GOMAXPROCS).
 	Workers int
 	// Scheduler, if non-nil, gates device eligibility per round.
 	Scheduler *federated.Scheduler
 	// Eligible, if non-nil, additionally gates per-(round, client)
 	// eligibility — the client-injection seam simulators use for diurnal
 	// participation curves and clock-skewed populations. It is consulted on
-	// the driver goroutine for every non-busy client each round, so it must
-	// be cheap and must not block.
+	// the driver goroutine for every client each round, so it must be cheap
+	// and must not block.
 	Eligible func(round, k int) bool
 	// Trainer overrides the default SGDTrainer built from the Local* knobs.
 	// A Trainer that also implements federated.ClientTrainer receives the
@@ -98,22 +95,13 @@ type Config struct {
 	Trainer federated.Trainer
 	// Selector, if non-nil, owns cohort selection and per-client merge
 	// weighting — e.g. a ScoredSelector that down-weights clients whose
-	// updates fail, arrive stale, or deviate anomalously in magnitude. Nil
-	// keeps the default uniform selection and pure n_k staleness weighting.
+	// updates fail or deviate anomalously in magnitude. Nil keeps the
+	// default uniform selection and pure n_k weighting.
 	Selector ClientSelector
 
-	// Quorum is the fraction of each round's dispatched cohort the round
-	// waits for before merging (default 1 = synchronous barrier, which makes
-	// rounds deterministic for a fixed seed). Below 1 the round merges early
-	// and stragglers land in later rounds as stale updates.
+	// Quorum is kept for source compatibility only: every round waits for
+	// its whole cohort. 0 and 1 are accepted; anything else is ErrConfig.
 	Quorum float64
-	// MaxStaleness bounds how many rounds late an update may arrive and
-	// still merge (with decayed weight); staler updates are dropped. Only
-	// meaningful with Quorum < 1 (default then: 2).
-	MaxStaleness int
-	// StalenessDecay multiplies an update's merge weight per round of
-	// staleness (default 0.5).
-	StalenessDecay float64
 
 	// DP, if non-nil, makes aggregation differentially private.
 	DP *DPConfig
@@ -166,18 +154,13 @@ func (c *Config) validate() error {
 		return fmt.Errorf("%w: ClientFraction=%v", ErrConfig, c.ClientFraction)
 	case c.Cohort < 0:
 		return fmt.Errorf("%w: Cohort=%d", ErrConfig, c.Cohort)
-	case c.Quorum < 0 || c.Quorum > 1:
-		return fmt.Errorf("%w: Quorum=%v", ErrConfig, c.Quorum)
+	case c.Quorum != 0 && c.Quorum != 1:
+		return fmt.Errorf("%w: Quorum=%v (rounds are synchronous)", ErrConfig, c.Quorum)
 	case c.Trainer == nil && c.LocalLR <= 0:
 		return fmt.Errorf("%w: LocalLR=%v with no custom Trainer", ErrConfig, c.LocalLR)
 	}
-	if c.DP != nil {
-		if c.DP.Clip <= 0 || c.DP.Sigma < 0 {
-			return fmt.Errorf("%w: DP clip=%v sigma=%v", ErrConfig, c.DP.Clip, c.DP.Sigma)
-		}
-		if c.Quorum != 0 && c.Quorum < 1 {
-			return fmt.Errorf("%w: DP aggregation requires synchronous rounds (Quorum=1)", ErrConfig)
-		}
+	if c.DP != nil && (c.DP.Clip <= 0 || c.DP.Sigma < 0) {
+		return fmt.Errorf("%w: DP clip=%v sigma=%v", ErrConfig, c.DP.Clip, c.DP.Sigma)
 	}
 	return nil
 }
@@ -196,12 +179,12 @@ type Status struct {
 	State State  `json:"state"`
 	Model string `json:"model"`
 	// Round is the last completed round (0 before any round finishes).
-	Round    int `json:"round"`
+	Round int `json:"round"`
+	// InFlight is the cohort of the round now training (0 between rounds).
 	InFlight int `json:"in_flight"`
-	// MergedUpdates / DroppedStale count client updates folded into or
-	// discarded from the global model across the run.
+	// MergedUpdates counts client updates folded into the global model
+	// across the run.
 	MergedUpdates int `json:"merged_updates"`
-	DroppedStale  int `json:"dropped_stale"`
 	// FailedClients counts client training errors (skipped, not fatal).
 	FailedClients int     `json:"failed_clients"`
 	LastLoss      float64 `json:"last_loss"`
@@ -224,48 +207,9 @@ type Status struct {
 	CheckpointErrors int `json:"checkpoint_errors,omitempty"`
 }
 
-// job is one dispatched client-training task.
-type job struct {
-	round int
-	k     int
-	seed  int64
-	base  *baseSnap
-}
-
-// done is one finished client-training task, carrying the parameter delta
-// against the base the client trained from. start/end are stamped by the
-// worker; the channel send that delivers the struct to the driver gives the
-// happens-before edge, so the driver can materialize a span from them
-// without any worker ever touching a trace slab.
-type done struct {
-	round      int
-	k          int
-	delta      []*tensor.Matrix // pooled; the driver Puts after merging
-	n          int
-	loss       float64
-	err        error
-	start, end time.Time
-}
-
-// baseSnap is a pooled snapshot of the global parameters at dispatch time,
-// shared by one round's cohort and released to the pool when the last client
-// finishes with it.
-type baseSnap struct {
-	vals []*tensor.Matrix
-	refs int32
-}
-
-func (s *baseSnap) release() {
-	if atomic.AddInt32(&s.refs, -1) == 0 {
-		for _, v := range s.vals {
-			tensor.Put(v)
-		}
-	}
-}
-
 // Coordinator owns the continuous federated train-to-serve loop: it runs
-// rounds (device eligibility, parallel client fan-out, staleness-bounded
-// merging, optional DP aggregation), evaluates the global model on the
+// synchronous rounds (device eligibility, parallel client fan-out, one FedAvg
+// or DP-FedAvg server step at the barrier), evaluates the global model on the
 // held-out set, and hot-publishes accepted versions into the serving
 // registry. Construction publishes the initial model as version 1 so a
 // serve.Runtime can be attached before training starts; Start launches the
@@ -274,34 +218,23 @@ func (s *baseSnap) release() {
 type Coordinator struct {
 	cfg     Config
 	trainer federated.Trainer
-	// perClient is non-nil when trainer also implements the identity-aware
-	// federated.ClientTrainer seam.
-	perClient federated.ClientTrainer
-	global    *nn.Sequential
-	vals      []*tensor.Matrix
-	eval      func(*nn.Sequential) (float64, error)
-	rng       *rand.Rand
-	acct      *privacy.MomentsAccountant
-	dpDenom   float64
+	global  *nn.Sequential
+	vals    []*tensor.Matrix
+	eval    func(*nn.Sequential) (float64, error)
+	rng     *rand.Rand
+	acct    *privacy.MomentsAccountant
+	dpDenom float64
 
 	paramBytes int64
 	evalEvery  int
-	quorum     float64
-	decay      float64
-	staleMax   int
 	tracer     *trace.Tracer
 	logger     *slog.Logger
 
-	jobs     chan job
-	results  chan done
-	workerWg sync.WaitGroup
 	doneCh   chan struct{}
 	stopOnce sync.Once
 	stopCh   chan struct{}
 
 	// driver-goroutine state (no locking needed).
-	busy            map[int]bool
-	inflight        int
 	mergedSinceEval int
 	mergedSinceCk   int
 	history         []federated.RoundStats
@@ -333,9 +266,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.LocalEpochs <= 0 {
 		cfg.LocalEpochs = 1
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	global, err := cfg.Factory()
 	if err != nil {
 		return nil, fmt.Errorf("fedserve: build global model: %w", err)
@@ -359,19 +289,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		paramBytes: int64(nn.NumParams(global.Params())) * federated.BytesPerValue,
 		evalEvery:  cfg.EvalEvery,
-		quorum:     cfg.Quorum,
-		decay:      cfg.StalenessDecay,
-		staleMax:   cfg.MaxStaleness,
 		tracer:     cfg.Tracer,
 		logger:     cfg.Logger,
-		jobs:       make(chan job, len(cfg.Shards)),
-		results:    make(chan done, len(cfg.Shards)),
 		doneCh:     make(chan struct{}),
 		stopCh:     make(chan struct{}),
-		busy:       make(map[int]bool),
 		state:      StateIdle,
 	}
-	c.perClient, _ = trainer.(federated.ClientTrainer)
 	if c.logger == nil {
 		c.logger = slog.Default()
 	}
@@ -379,25 +302,20 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if c.evalEvery <= 0 {
 		c.evalEvery = 1
 	}
-	if c.quorum == 0 {
-		c.quorum = 1
-	}
-	if c.decay == 0 {
-		c.decay = 0.5
-	}
-	if c.quorum < 1 && c.staleMax == 0 {
-		c.staleMax = 2
+	// DP sampling ratio: a fixed Cohort out of the population when set, else
+	// ClientFraction. It prices epsilon and fixes the averaging denominator
+	// q*W (the expected cohort, at least one client).
+	q := cfg.ClientFraction
+	if cfg.Cohort > 0 {
+		q = math.Min(1, float64(cfg.Cohort)/float64(len(cfg.Shards)))
 	}
 	if cfg.DP != nil && cfg.DP.Sigma > 0 {
-		c.acct, err = privacy.NewMomentsAccountant(cfg.DP.Sigma, cfg.ClientFraction)
+		c.acct, err = privacy.NewMomentsAccountant(cfg.DP.Sigma, q)
 		if err != nil {
 			return nil, err
 		}
 	}
-	c.dpDenom = cfg.ClientFraction * float64(len(cfg.Shards))
-	if c.dpDenom < 1 {
-		c.dpDenom = 1
-	}
+	c.dpDenom = math.Max(1, q*float64(len(cfg.Shards)))
 	c.ckEvery = cfg.CheckpointEvery
 	if c.ckEvery <= 0 {
 		c.ckEvery = 1
@@ -452,17 +370,13 @@ func (c *Coordinator) Start() error {
 	}
 	c.setStateLocked(StateRunning)
 	c.started = true
-	for w := 0; w < c.cfg.Workers; w++ {
-		c.workerWg.Add(1)
-		go c.worker()
-	}
 	go c.run()
 	return nil
 }
 
-// Pause suspends the round loop at the next round boundary; in-flight client
-// jobs finish and merge after resume. Pausing an unstarted or stopped
-// coordinator is ErrState.
+// Pause suspends the round loop at the next round boundary: the round in
+// progress trains, merges and publishes first. Pausing an unstarted or
+// stopped coordinator is ErrState.
 func (c *Coordinator) Pause() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -477,8 +391,8 @@ func (c *Coordinator) Pause() error {
 	return fmt.Errorf("%w: cannot pause a coordinator that is %s", ErrState, c.state)
 }
 
-// Stop terminates the round loop, drains in-flight client work, and waits
-// for it to wind down. Terminal and idempotent.
+// Stop terminates the round loop after the round in progress and waits for
+// it to wind down. Terminal and idempotent.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	wasStarted := c.started
@@ -517,53 +431,6 @@ func (c *Coordinator) setStateLocked(s State) {
 	c.status.State = s
 }
 
-// worker consumes client-training jobs until the jobs channel closes.
-func (c *Coordinator) worker() {
-	defer c.workerWg.Done()
-	for j := range c.jobs {
-		c.results <- c.trainOne(j)
-	}
-}
-
-// trainOne runs one client against its dispatch-time base snapshot and
-// returns the pooled parameter delta.
-func (c *Coordinator) trainOne(j job) (d done) {
-	defer j.base.release()
-	d = done{round: j.round, k: j.k, start: time.Now()}
-	defer func() { d.end = time.Now() }()
-	var res federated.ClientResult
-	var err error
-	if c.perClient != nil {
-		res, err = c.perClient.TrainRoundClient(j.round, j.k, c.cfg.Shards[j.k], j.base.vals, j.seed)
-	} else {
-		res, err = c.trainer.TrainClient(c.cfg.Shards[j.k], j.base.vals, j.seed)
-	}
-	if err != nil {
-		d.err = err
-		return d
-	}
-	d.n, d.loss = res.N, res.Loss
-	d.delta = make([]*tensor.Matrix, len(res.Weights))
-	for i, w := range res.Weights {
-		d.delta[i] = tensor.Get(w.Rows(), w.Cols())
-		if serr := tensor.SubInto(d.delta[i], w, j.base.vals[i]); serr != nil {
-			d.err = serr
-			break
-		}
-	}
-	if d.err != nil {
-		putDeltas(d)
-		d.delta = nil
-	}
-	return d
-}
-
-func putDeltas(d done) {
-	for _, m := range d.delta {
-		tensor.Put(m)
-	}
-}
-
 // run is the driver goroutine: the continuous round loop.
 func (c *Coordinator) run() {
 	defer c.shutdown()
@@ -576,9 +443,8 @@ func (c *Coordinator) run() {
 		progressed := c.runRound(round)
 		pause := c.cfg.RoundInterval
 		if !progressed && pause < idleBackoff {
-			// Nothing dispatched and nothing collected (e.g. no eligible
-			// devices): back off instead of spinning the driver at 100% CPU
-			// on an unbounded run.
+			// No eligible devices: back off instead of spinning the driver
+			// at 100% CPU on an unbounded run.
 			pause = idleBackoff
 		}
 		if pause > 0 {
@@ -605,16 +471,14 @@ func (c *Coordinator) awaitRunnable() bool {
 	return c.state == StateRunning
 }
 
-// runRound executes one coordinator round: select + dispatch the cohort,
-// collect to quorum, merge, and (on the eval cadence) evaluate and maybe
-// publish. It reports whether the round made any progress (dispatched or
-// collected anything).
+// runRound executes one synchronous round: select the cohort, train it on
+// federated.FanOut (a barrier), apply one server step, and on the cadences
+// evaluate, maybe publish, and checkpoint. It reports whether a cohort was
+// selected at all.
 //
 // Sampled rounds become long-lived traces. Every span write happens on this
-// driver goroutine: client training is recorded from the worker-stamped
-// timestamps each done struct carries (the results-channel receive is the
-// happens-before edge), so stragglers from earlier rounds land in whichever
-// round's trace collects them.
+// driver goroutine: client training is recorded after the barrier from the
+// worker-stamped times each Update carries.
 func (c *Coordinator) runRound(round int) bool {
 	var sp trace.Span
 	if c.tracer.Sample() {
@@ -623,53 +487,27 @@ func (c *Coordinator) runRound(round int) bool {
 	}
 
 	sel := sp.Child("select")
-	dispatched := c.dispatch(round)
-	sel.End(trace.Num("cohort", float64(dispatched)))
+	selected, seeds := c.selectCohort(round)
+	sel.End(trace.Num("cohort", float64(len(selected))))
 
-	// Collect: at least the quorum of this round's cohort — and, when
-	// nothing was dispatchable but work is still in flight, at least one
-	// arrival so the loop always makes progress.
-	need := int(math.Ceil(c.quorum * float64(dispatched)))
-	if need == 0 && dispatched == 0 && c.inflight > 0 {
-		need = 1
-	}
 	fan := sp.Child("fanout")
-	var collected []done
-	for len(collected) < need && c.inflight > 0 {
-		d := <-c.results
-		c.inflight--
-		c.busy[d.k] = false
-		collected = append(collected, d)
-	}
-	// Opportunistically drain anything else already finished.
-	for {
-		select {
-		case d := <-c.results:
-			c.inflight--
-			c.busy[d.k] = false
-			collected = append(collected, d)
-			continue
-		default:
-		}
-		break
-	}
-	for _, d := range collected {
-		cs := fan.ChildAt("client", d.start, d.end.Sub(d.start),
-			trace.Num("client", float64(d.k)),
-			trace.Num("dispatch_round", float64(d.round)),
-			trace.Num("samples", float64(d.n)))
-		if d.err != nil {
-			cs.Annotate(trace.Str("error", d.err.Error()))
+	updates, err := federated.FanOut(c.trainer, c.cfg.Shards, round, selected, c.vals, seeds, c.cfg.Workers)
+	for _, u := range updates {
+		cs := fan.ChildAt("client", u.Start, u.End.Sub(u.Start),
+			trace.Num("client", float64(u.Client)),
+			trace.Num("samples", float64(u.N)))
+		if u.Err != nil {
+			cs.Annotate(trace.Str("error", u.Err.Error()))
 		}
 	}
-	fan.End(trace.Num("collected", float64(len(collected))))
+	fan.EndErr(err, trace.Num("collected", float64(len(updates))))
 
 	ms := sp.Child("merge")
-	c.merge(round, collected)
+	c.merge(round, updates, err)
 	ms.End(trace.Num("merged_total", float64(c.status.MergedUpdates)))
 
 	// Evaluate on the cadence, but only when training actually advanced:
-	// rounds with no eligible devices (or only dropped/failed updates) would
+	// rounds with no eligible devices (or only failed updates) would
 	// otherwise republish an unchanged model every EvalEvery rounds.
 	if c.mergedSinceEval > 0 && (round%c.evalEvery == 0 || round == c.lastRound) {
 		c.mergedSinceEval = 0
@@ -682,19 +520,15 @@ func (c *Coordinator) runRound(round int) bool {
 	if c.cfg.Checkpoint != nil && c.mergedSinceCk > 0 && (round%c.ckEvery == 0 || round == c.lastRound) {
 		c.checkpoint(round, sp)
 	}
-	sp.End(trace.Num("collected", float64(len(collected))))
-	return dispatched > 0 || len(collected) > 0
+	sp.End(trace.Num("collected", float64(len(updates))))
+	return len(selected) > 0
 }
 
-// dispatch selects this round's cohort among eligible, non-busy clients and
-// enqueues their training jobs against a shared snapshot of the current
-// global parameters. Returns the cohort size.
-func (c *Coordinator) dispatch(round int) int {
+// selectCohort draws this round's cohort among the eligible clients and one
+// training seed per selected client.
+func (c *Coordinator) selectCohort(round int) (selected []int, seeds []int64) {
 	eligible := make([]int, 0, len(c.cfg.Shards))
 	for k := range c.cfg.Shards {
-		if c.busy[k] {
-			continue
-		}
 		if c.cfg.Scheduler != nil && !c.cfg.Scheduler.Eligible(k) {
 			continue
 		}
@@ -707,7 +541,7 @@ func (c *Coordinator) dispatch(round int) int {
 		c.cfg.Scheduler.Advance()
 	}
 	if len(eligible) == 0 {
-		return 0
+		return nil, nil
 	}
 	m := int(c.cfg.ClientFraction * float64(len(eligible)))
 	if c.cfg.Cohort > 0 {
@@ -719,110 +553,84 @@ func (c *Coordinator) dispatch(round int) int {
 	if m > len(eligible) {
 		m = len(eligible)
 	}
-	var selected []int
 	if c.cfg.Selector != nil {
 		selected = c.cfg.Selector.Pick(c.rng, eligible, m)
-		if len(selected) == 0 {
-			return 0
-		}
 	} else {
 		c.rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
 		selected = eligible[:m]
 	}
-	// Sort the cohort so job order (and each client's seed) is a function of
-	// the selection set alone, then pre-draw seeds before any concurrency.
+	// Sort the cohort so merge order (and each client's seed) is a function
+	// of the selection set alone, then pre-draw seeds before any concurrency.
 	sort.Ints(selected)
-	base := &baseSnap{vals: make([]*tensor.Matrix, len(c.vals)), refs: int32(len(selected))}
-	for i, v := range c.vals {
-		base.vals[i] = tensor.Get(v.Rows(), v.Cols())
-		if err := base.vals[i].CopyFrom(v); err != nil {
-			// Shapes are factory-aligned; this is unreachable outside
-			// programmer error.
-			panic(err)
-		}
-	}
-	for _, k := range selected {
-		c.busy[k] = true
-		c.jobs <- job{round: round, k: k, seed: c.rng.Int63(), base: base}
-		c.inflight++
+	seeds = make([]int64, len(selected))
+	for i := range seeds {
+		seeds[i] = c.rng.Int63()
 	}
 	c.mu.Lock()
 	c.status.DownBytes += int64(len(selected)) * c.paramBytes // model broadcast
-	c.status.InFlight = c.inflight
+	c.status.InFlight = len(selected)
 	c.mu.Unlock()
-	return len(selected)
+	return selected, seeds
 }
 
-// merge folds the collected client updates into the global model —
-// staleness-weighted n_k-weighted averaging of deltas, or the DP
-// clip-average-noise step — and records the round stats.
-func (c *Coordinator) merge(round int, collected []done) {
-	// Deterministic merge order regardless of arrival order: float addition
-	// is not associative, and the sync path promises bit-identical rounds.
-	sort.Slice(collected, func(a, b int) bool {
-		if collected[a].round != collected[b].round {
-			return collected[a].round < collected[b].round
-		}
-		return collected[a].k < collected[b].k
-	})
-
-	var merged []done
-	var failed, dropped int
-	var lastErr error
+// merge folds the round's client updates into the global model with one
+// server step — federated.MergeWeighted (n_k, times the Selector's reputation
+// when one is configured) or privacy.DPFedAvgStep — and records the round
+// stats. Failed clients are counted and skipped. fanErr is FanOut's refusal
+// of a malformed cohort (a Selector that picked a client out of range).
+func (c *Coordinator) merge(round int, updates []federated.Update, fanErr error) {
+	lastErr := fanErr
+	sel := c.cfg.Selector
+	merged := make([]federated.Update, 0, len(updates))
+	var failed int
 	var outcomes []ClientOutcome
-	if c.cfg.Selector != nil {
-		outcomes = make([]ClientOutcome, 0, len(collected))
-	}
-	for _, d := range collected {
-		out := ClientOutcome{Client: d.k, Round: d.round, Collected: round, Samples: d.n, Loss: d.loss}
-		switch {
-		case d.err != nil:
+	for _, u := range updates {
+		out := ClientOutcome{Client: u.Client, Round: round, Samples: u.N, Loss: u.Loss}
+		if u.Err != nil {
 			failed++
 			out.Failed = true
-			lastErr = fmt.Errorf("client %d (round %d): %w", d.k, d.round, d.err)
-		case round-d.round > c.staleMax:
-			dropped++
-			out.DroppedStale = true
-			putDeltas(d)
-		default:
-			out.DeltaNorm = jointNorm(d.delta)
-			merged = append(merged, d)
+			lastErr = fmt.Errorf("client %d (round %d): %w", u.Client, round, u.Err)
+		} else {
+			merged = append(merged, u)
+			if sel != nil {
+				out.DeltaNorm = deltaNorm(u.Weights, c.vals)
+			}
 		}
-		if outcomes != nil {
+		if sel != nil {
 			outcomes = append(outcomes, out)
 		}
 	}
 	// Feed the selector before merging, so an update flagged anomalous this
 	// round is down-weighted in this round's own merge.
-	if c.cfg.Selector != nil {
-		c.cfg.Selector.ObserveRound(outcomes)
+	var weights []float64
+	if sel != nil {
+		sel.ObserveRound(outcomes)
+		weights = make([]float64, len(merged))
+		for i, u := range merged {
+			weights[i] = float64(u.N) * sel.Weight(u.Client)
+		}
 	}
 
 	var roundLoss float64
 	if len(merged) > 0 {
 		var err error
 		if c.cfg.DP != nil {
-			roundLoss, err = c.mergeDP(merged)
+			roundLoss, err = privacy.DPFedAvgStep(c.rng, c.vals, merged, c.cfg.DP.Clip, c.cfg.DP.Sigma, c.dpDenom)
 		} else {
-			roundLoss, err = c.mergeWeighted(round, merged)
+			roundLoss, err = federated.MergeWeighted(c.vals, merged, weights)
 		}
 		if err != nil {
 			lastErr = err
-		}
-		for _, d := range merged {
-			putDeltas(d)
 		}
 	}
 
 	if lastErr != nil {
 		c.logger.Warn("round had client or merge failures",
-			"model", c.cfg.Model, "round", round,
-			"failed", failed, "dropped_stale", dropped, "err", lastErr)
+			"model", c.cfg.Model, "round", round, "failed", failed, "err", lastErr)
 	}
 	c.logger.Debug("round merged",
 		"model", c.cfg.Model, "round", round,
-		"merged", len(merged), "failed", failed, "dropped_stale", dropped,
-		"loss", roundLoss)
+		"merged", len(merged), "failed", failed, "loss", roundLoss)
 
 	st := federated.RoundStats{
 		Round:              round,
@@ -836,11 +644,10 @@ func (c *Coordinator) merge(round int, collected []done) {
 
 	c.mu.Lock()
 	c.status.Round = round
-	c.status.InFlight = c.inflight
+	c.status.InFlight = 0
 	c.status.MergedUpdates += len(merged)
-	c.status.DroppedStale += dropped
 	c.status.FailedClients += failed
-	c.status.UpBytes += int64(len(merged)+dropped) * c.paramBytes
+	c.status.UpBytes += int64(len(merged)) * c.paramBytes
 	if len(merged) > 0 {
 		c.status.LastLoss = roundLoss
 	}
@@ -877,77 +684,19 @@ func (c *Coordinator) dpDelta() float64 {
 	return 1e-5
 }
 
-// jointNorm is the joint L2 norm of a parameter delta (the magnitude signal
-// anomaly-scoring selectors judge updates by).
-func jointNorm(delta []*tensor.Matrix) float64 {
+// deltaNorm is the joint L2 norm of a client's parameter delta against the
+// global it trained from (the magnitude signal anomaly-scoring selectors
+// judge updates by).
+func deltaNorm(weights, global []*tensor.Matrix) float64 {
 	var sq float64
-	for _, m := range delta {
-		n := m.FrobeniusNorm()
-		sq += n * n
+	for i, w := range weights {
+		gd := global[i].Data()
+		for j, v := range w.Data() {
+			d := v - gd[j]
+			sq += d * d
+		}
 	}
 	return math.Sqrt(sq)
-}
-
-// mergeWeighted applies global += sum_k (w_k / W) delta_k with
-// w_k = n_k * decay^staleness — the FedAvg server step generalized to
-// stale deltas (for a synchronous round it is exactly the n_k/n weighted
-// average RunFedAvg computes). A configured Selector further multiplies
-// each client's weight by its reputation (ClientSelector.Weight), so
-// flagged clients contribute proportionally less. Returns the weighted
-// mean client loss.
-func (c *Coordinator) mergeWeighted(round int, merged []done) (float64, error) {
-	var totalW, totalN, loss float64
-	weights := make([]float64, len(merged))
-	for i, d := range merged {
-		w := float64(d.n) * math.Pow(c.decay, float64(round-d.round))
-		if c.cfg.Selector != nil {
-			w *= c.cfg.Selector.Weight(d.k)
-		}
-		weights[i] = w
-		totalW += w
-		totalN += float64(d.n)
-		loss += d.loss * float64(d.n)
-	}
-	if totalW == 0 {
-		return 0, fmt.Errorf("%w: merge with zero total weight", ErrConfig)
-	}
-	for pi, gv := range c.vals {
-		for i, d := range merged {
-			if err := tensor.AxpyInPlace(gv, weights[i]/totalW, d.delta[pi]); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return loss / totalN, nil
-}
-
-// mergeDP applies the DP-FedAvg server step: clip each client delta to joint
-// L2 norm Clip, average with the fixed denominator q*W (the expected cohort
-// mass), and add Gaussian noise scaled to the clip and denominator.
-func (c *Coordinator) mergeDP(merged []done) (float64, error) {
-	var loss float64
-	for _, d := range merged {
-		privacy.ClipJoint(d.delta, c.cfg.DP.Clip)
-		loss += d.loss
-	}
-	scale := 1 / c.dpDenom
-	for pi, gv := range c.vals {
-		for _, d := range merged {
-			if err := tensor.AxpyInPlace(gv, scale, d.delta[pi]); err != nil {
-				return 0, err
-			}
-		}
-		if c.cfg.DP.Sigma > 0 {
-			noise := tensor.Get(gv.Rows(), gv.Cols())
-			privacy.AddGaussian(c.rng, noise, c.cfg.DP.Sigma*c.cfg.DP.Clip/c.dpDenom)
-			err := tensor.AddInPlace(gv, noise)
-			tensor.Put(noise)
-			if err != nil {
-				return 0, err
-			}
-		}
-	}
-	return loss / float64(len(merged)), nil
 }
 
 // evalAndMaybePublish scores the global model on the held-out set and
@@ -996,21 +745,16 @@ func (c *Coordinator) evalAndMaybePublish(round int, sp trace.Span) {
 	}
 }
 
-// publish checkpoints the global weights (nn.EncodeWeights), decodes them
-// into a fresh factory-built copy, and hot-swaps that copy into the registry
-// with round/accuracy provenance. The served model is decoupled from the
-// training model: the coordinator keeps mutating the global while the
-// published version stays frozen.
+// publish copies the global weights into a fresh factory-built model and
+// hot-swaps that copy into the registry with round/accuracy provenance. The
+// served model is decoupled from the training model: the coordinator keeps
+// mutating the global while the published version stays frozen.
 func (c *Coordinator) publish(round int, acc float64) error {
-	blob, err := nn.EncodeWeights(c.global)
-	if err != nil {
-		return err
-	}
 	fresh, err := c.cfg.Factory()
 	if err != nil {
 		return err
 	}
-	if err := nn.DecodeWeights(fresh, blob); err != nil {
+	if err := federated.SetWeights(fresh.Params(), c.vals); err != nil {
 		return err
 	}
 	backend, err := serve.NewDenseBackend(fresh)
@@ -1037,16 +781,9 @@ func (c *Coordinator) publish(round int, acc float64) error {
 	return nil
 }
 
-// shutdown drains in-flight work, stops the workers, and marks the
-// coordinator stopped.
+// shutdown saves any merged-but-unsaved rounds and marks the coordinator
+// stopped.
 func (c *Coordinator) shutdown() {
-	close(c.jobs)
-	for c.inflight > 0 {
-		d := <-c.results
-		c.inflight--
-		putDeltas(d)
-	}
-	c.workerWg.Wait()
 	// Final checkpoint so a clean Stop never loses merged-but-unsaved rounds.
 	if c.cfg.Checkpoint != nil && c.mergedSinceCk > 0 {
 		c.mu.Lock()
@@ -1056,7 +793,6 @@ func (c *Coordinator) shutdown() {
 	}
 	c.mu.Lock()
 	c.setStateLocked(StateStopped)
-	c.status.InFlight = 0
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	close(c.doneCh)

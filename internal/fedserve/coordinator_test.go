@@ -179,10 +179,9 @@ func TestTrainToServeImprovesAcrossVersions(t *testing.T) {
 	}
 }
 
-// TestCoordinatorDeterministicAcrossWorkers: with synchronous rounds
-// (Quorum=1) and a fixed seed, the parallel fan-out must reproduce the
-// sequential run bit-for-bit — identical round stats and identical final
-// weights.
+// TestCoordinatorDeterministicAcrossWorkers: with a fixed seed, the parallel
+// fan-out must reproduce the sequential run bit-for-bit — identical round
+// stats and identical final weights.
 func TestCoordinatorDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) ([]federated.RoundStats, []byte) {
 		tk := newTask(t, 6, true)
@@ -218,16 +217,15 @@ func TestCoordinatorDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAsyncMergesWithQuorum: with a partial quorum the loop must
-// keep making progress, merge stragglers with staleness weighting, and still
-// publish improved versions.
-func TestCoordinatorAsyncMergesWithQuorum(t *testing.T) {
-	tk := newTask(t, 8, true)
+// TestCoordinatorRoundMatchesReferenceLoop checks the coordinator against the
+// reference loop it shares its pieces with: one round (no selector, no DP)
+// must leave the global where one RunFedAvg-style FanOut + MergeWeighted
+// round over the same cohort and seeds leaves it.
+func TestCoordinatorRoundMatchesReferenceLoop(t *testing.T) {
+	tk := newTask(t, 6, false)
 	reg := serve.NewRegistry()
-	cfg := tk.config(reg, "async")
-	cfg.Rounds = 12
-	cfg.Quorum = 0.5
-	cfg.MaxStaleness = 2
+	cfg := tk.config(reg, "ref")
+	cfg.Rounds = 1
 	coord, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,18 +234,76 @@ func TestCoordinatorAsyncMergesWithQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord.Wait()
-	st := coord.Status()
-	if st.MergedUpdates == 0 {
-		t.Fatalf("async run merged nothing: %+v", st)
+	if st := coord.Status(); st.MergedUpdates != len(tk.shards) {
+		t.Fatalf("merged %d updates, want the whole cohort of %d", st.MergedUpdates, len(tk.shards))
 	}
-	if st.InFlight != 0 {
-		t.Fatalf("in-flight work leaked: %+v", st)
+
+	// The coordinator's draw at ClientFraction 1: one shuffle of the eligible
+	// set, the cohort sorted, then one seed per client.
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	selected := make([]int, len(tk.shards))
+	for k := range selected {
+		selected[k] = k
 	}
-	if len(st.Published) < 2 {
-		t.Fatalf("async run published %d versions, want >= 2", len(st.Published))
+	rng.Shuffle(len(selected), func(int, int) {})
+	seeds := make([]int64, len(selected))
+	for i := range seeds {
+		seeds[i] = rng.Int63()
 	}
-	if st.BestAccuracy <= st.Published[0].Accuracy {
-		t.Fatalf("async training did not improve: %+v", st.Published)
+	ref, err := tk.factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refVals := federated.ParamValues(ref.Params())
+	trainer := &federated.SGDTrainer{
+		Factory: tk.factory, Classes: tk.classes,
+		Epochs: cfg.LocalEpochs, Batch: cfg.LocalBatch, LR: cfg.LocalLR,
+	}
+	updates, err := federated.FanOut(trainer, tk.shards, 1, selected, refVals, seeds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := federated.MergeWeighted(refVals, updates, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range coord.vals {
+		if !v.Equal(refVals[i], 1e-12) {
+			t.Fatalf("param %d: coordinator round diverged from the reference round", i)
+		}
+	}
+}
+
+// TestCoordinatorDPUsesCohortSamplingRatio: with a fixed Cohort the DP
+// sampling ratio is Cohort/len(Shards), so the averaging denominator is the
+// cohort size and epsilon is priced below the whole-population (q=1) run.
+func TestCoordinatorDPUsesCohortSamplingRatio(t *testing.T) {
+	run := func(cohort int) (*Coordinator, Status) {
+		tk := newTask(t, 6, true)
+		cfg := tk.config(serve.NewRegistry(), "dpcohort")
+		cfg.Rounds = 4
+		cfg.Cohort = cohort
+		cfg.DP = &DPConfig{Clip: 5, Sigma: 1}
+		cfg.AccuracyDrop = 1
+		coord, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Start(); err != nil {
+			t.Fatal(err)
+		}
+		coord.Wait()
+		return coord, coord.Status()
+	}
+	whole, wholeSt := run(0)
+	part, partSt := run(2)
+	if whole.dpDenom != 6 || part.dpDenom != 2 {
+		t.Fatalf("DP denominators %v (no cohort) and %v (cohort 2), want 6 and 2", whole.dpDenom, part.dpDenom)
+	}
+	if partSt.MergedUpdates != 4*2 {
+		t.Fatalf("cohort run merged %d updates, want 8", partSt.MergedUpdates)
+	}
+	if partSt.Epsilon <= 0 || partSt.Epsilon >= wholeSt.Epsilon {
+		t.Fatalf("epsilon at q=1/3 is %v, want below the q=1 run's %v", partSt.Epsilon, wholeSt.Epsilon)
 	}
 }
 
@@ -302,22 +358,27 @@ func TestCoordinatorPauseResumeStop(t *testing.T) {
 	if err := coord.Pause(); err != nil {
 		t.Fatal(err)
 	}
-	// Paused: round counter must stop advancing once the boundary is reached.
-	deadline := time.Now().Add(2 * time.Second)
-	var r1 int
+	// Paused at the next round boundary: a round already training when Pause
+	// returned finishes (at most that one), then the counter must hold still.
+	if st := coord.Status().State; st != StatePaused {
+		t.Fatalf("state %s after Pause", st)
+	}
+	r0 := coord.Status().Round
+	deadline := time.Now().Add(5 * time.Second)
+	r1 := r0
 	for {
-		if coord.Status().State == StatePaused {
-			r1 = coord.Status().Round
+		time.Sleep(50 * time.Millisecond)
+		r2 := coord.Status().Round
+		if r2 == r1 {
 			break
 		}
+		r1 = r2
 		if time.Now().After(deadline) {
-			t.Fatal("never observed paused state")
+			t.Fatalf("round counter still advancing while paused: %d -> %d", r0, r1)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond)
-	if r2 := coord.Status().Round; r2 != r1 {
-		t.Fatalf("rounds advanced while paused: %d -> %d", r1, r2)
+	if r1 > r0+1 {
+		t.Fatalf("%d rounds completed after Pause returned, want at most the one in progress", r1-r0)
 	}
 	if err := coord.Start(); err != nil { // resume
 		t.Fatal(err)
@@ -347,9 +408,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Rounds = -1 },
 		func(c *Config) { c.ClientFraction = 1.5 },
 		func(c *Config) { c.Quorum = -0.1 },
+		func(c *Config) { c.Quorum = 0.5 },
 		func(c *Config) { c.LocalLR = 0 },
 		func(c *Config) { c.DP = &DPConfig{Clip: 0, Sigma: 1} },
-		func(c *Config) { c.DP = &DPConfig{Clip: 1, Sigma: 1}; c.Quorum = 0.5 },
 	}
 	for i, mutate := range bad {
 		cfg := good
@@ -360,5 +421,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewCoordinator(good); err != nil {
 		t.Fatalf("good config rejected: %v", err)
+	}
+	// Quorum survives as a compatibility field: 1 still means synchronous.
+	good.Quorum = 1
+	if _, err := NewCoordinator(good); err != nil {
+		t.Fatalf("Quorum=1 rejected: %v", err)
 	}
 }

@@ -1,5 +1,5 @@
-// Package fedserve closes the paper's train-to-serve loop: an asynchronous
-// federated-training coordinator that runs rounds continuously and
+// Package fedserve closes the paper's train-to-serve loop: a federated-
+// training coordinator that runs synchronous rounds continuously and
 // hot-publishes every accepted global model into a serve.Registry, so
 // /v1/predict traffic migrates to better models mid-flight with no restart.
 //
@@ -7,21 +7,21 @@
 //
 //  1. gates device eligibility through federated.Scheduler (the paper's
 //     "idle, plugged in, on WiFi" constraint) and samples a cohort,
-//  2. fans client training out across a GOMAXPROCS-bounded worker pool via
-//     the federated.Trainer seam, each client working against a pooled
-//     snapshot of the dispatch-time global parameters,
-//  3. merges the returned parameter deltas — waiting for the full cohort
-//     (Quorum=1, deterministic for a fixed seed) or merging early and
-//     folding stragglers into later rounds with staleness-decayed weight,
-//     bounded by MaxStaleness (staler updates are dropped),
-//  4. optionally aggregates privately (DPConfig): per-client joint-L2 clip,
-//     fixed-denominator average, Gaussian noise, with a moments accountant
-//     reporting the cumulative epsilon in Status, and
-//  5. on the EvalEvery cadence, evaluates the global model on the held-out
-//     set and publishes it — nn.EncodeWeights checkpoint, decoded into a
-//     fresh factory copy, installed via Registry.InstallWithMeta with
-//     round/accuracy provenance — unless it regresses past AccuracyDrop
-//     below the best published accuracy (eval-gated acceptance).
+//  2. trains the cohort on federated.FanOut — a GOMAXPROCS-bounded worker
+//     pool behind the federated.Trainer seam — and waits for all of it, so
+//     a fixed seed gives the same round at any worker count; a client that
+//     fails is counted and skipped,
+//  3. applies one server step: federated.MergeWeighted, the n_k-weighted
+//     average (times a ClientSelector's reputation when one is configured),
+//     or, with a DPConfig, privacy.DPFedAvgStep — per-client joint-L2 clip,
+//     fixed-denominator average, Gaussian noise — with a moments accountant
+//     reporting the cumulative epsilon in Status; these are the functions
+//     RunFedAvg and RunDPFedAvg call, and
+//  4. on the EvalEvery cadence, evaluates the global model on the held-out
+//     set and publishes it — weights copied into a fresh factory model,
+//     installed via Registry.InstallWithMeta with round/accuracy
+//     provenance — unless it regresses past AccuracyDrop below the best
+//     published accuracy (eval-gated acceptance).
 //
 // Construction publishes the initial model as version 1, so a serve.Runtime
 // can attach before any training happens and the version chain on

@@ -12,8 +12,8 @@ import (
 
 // ExampleCoordinator runs the full train-to-serve loop in-process: ten
 // synchronous federated rounds over six non-IID clients, each accepted
-// global model hot-published into a serving registry. With Quorum 1 and a
-// fixed seed the run is deterministic.
+// global model hot-published into a serving registry. With a fixed seed the
+// run is deterministic.
 func ExampleCoordinator() {
 	fb, err := data.GenerateFedBench(data.FedBenchConfig{
 		Samples: 600, Classes: 4, Dim: 8, Seed: 5,

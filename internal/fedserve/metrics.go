@@ -14,7 +14,6 @@ func (c *Coordinator) WriteMetrics(w *metrics.PromWriter) {
 	w.Counter("mobiledl_train_published_total", "Model versions accepted and hot-published.", float64(len(st.Published)), ml)
 	w.Counter("mobiledl_train_rejected_total", "Evaluated rounds rejected for regressing past AccuracyDrop.", float64(st.RejectedRounds), ml)
 	w.Counter("mobiledl_train_merged_updates_total", "Client updates folded into the global model.", float64(st.MergedUpdates), ml)
-	w.Counter("mobiledl_train_dropped_stale_total", "Client updates dropped for exceeding MaxStaleness.", float64(st.DroppedStale), ml)
 	w.Counter("mobiledl_train_failed_clients_total", "Client training errors (skipped, not fatal).", float64(st.FailedClients), ml)
 	if st.LastAccuracy >= 0 {
 		w.Gauge("mobiledl_train_last_accuracy", "Held-out accuracy of the last evaluated round.", st.LastAccuracy, ml)

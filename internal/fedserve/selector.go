@@ -12,15 +12,11 @@ import (
 // feedback signal a ClientSelector scores clients with.
 type ClientOutcome struct {
 	Client int
-	// Round is the round the update was dispatched in; Collected is the
-	// round that gathered it (later under partial quorum).
-	Round, Collected int
-	// Failed marks a client-training error; DroppedStale an update past the
-	// staleness bound. Exactly one of {Failed, DroppedStale, merged} holds.
-	Failed       bool
-	DroppedStale bool
+	Round  int
+	// Failed marks a client-training error; every other update merges.
+	Failed bool
 	// DeltaNorm is the joint L2 norm of a merged update's parameter delta
-	// (0 when the update failed or was dropped).
+	// (0 when the update failed).
 	DeltaNorm float64
 	Samples   int
 	Loss      float64
@@ -58,14 +54,14 @@ const (
 	// cohort is down-weighted still has positive total weight.
 	selMinMergeWeight = 0.01
 	// selWeightFail / selWeightNorm weight the two score components:
-	// failure/staleness rate and update-magnitude anomaly.
+	// failure rate and update-magnitude anomaly.
 	selWeightFail = 0.5
 	selWeightNorm = 0.5
 )
 
 // clientScore is one client's EWMA state.
 type clientScore struct {
-	// failEWMA tracks failures (1) and stale drops (0.5) vs clean merges (0).
+	// failEWMA tracks failures (1) vs clean merges (0).
 	failEWMA float64
 	// devEWMA tracks the relative deviation of the client's update norm from
 	// the cohort's median norm: honest clients sit near 0, boosted or
@@ -145,7 +141,7 @@ func (s *ScoredSelector) ObserveRound(outcomes []ClientOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, o := range outcomes {
-		if !o.Failed && !o.DroppedStale {
+		if !o.Failed {
 			if len(s.normWin) < selNormWindow {
 				s.normWin = append(s.normWin, o.DeltaNorm)
 			} else {
@@ -162,15 +158,10 @@ func (s *ScoredSelector) ObserveRound(outcomes []ClientOutcome) {
 			s.clients[o.Client] = cs
 		}
 		var fail, dev float64
-		switch {
-		case o.Failed:
+		if o.Failed {
 			fail = 1
-		case o.DroppedStale:
-			fail = 0.5
-		default:
-			if med > 0 {
-				dev = math.Abs(o.DeltaNorm-med) / med
-			}
+		} else if med > 0 {
+			dev = math.Abs(o.DeltaNorm-med) / med
 		}
 		if !cs.observed {
 			cs.observed = true
@@ -179,8 +170,8 @@ func (s *ScoredSelector) ObserveRound(outcomes []ClientOutcome) {
 			continue
 		}
 		cs.failEWMA = selEWMAAlpha*fail + (1-selEWMAAlpha)*cs.failEWMA
-		// Failed/dropped updates carry no norm evidence; leave devEWMA.
-		if !o.Failed && !o.DroppedStale {
+		// Failed updates carry no norm evidence; leave devEWMA.
+		if !o.Failed {
 			cs.devEWMA = selEWMAAlpha*dev + (1-selEWMAAlpha)*cs.devEWMA
 		}
 	}

@@ -13,11 +13,12 @@
 // from pre-drawn per-client seeds), and the server step differs from plain
 // FedAvg in exactly the four ways McMahan et al. list — Poisson sampling, a
 // per-client joint-L2 clip, a fixed-denominator (q·W) average, and Gaussian
-// noise calibrated by Sigma. The bundled MomentsAccountant converts the
-// per-round noise into a cumulative (epsilon, delta) spend.
+// noise calibrated by Sigma. The last three are DPFedAvgStep, the one
+// implementation of the server step. The bundled MomentsAccountant converts
+// the per-round noise into a cumulative (epsilon, delta) spend.
 //
-// internal/fedserve reuses the same clip-average-noise merge for its
-// continuous train-to-serve rounds when a DP config is set, so a served
-// model chain can carry a user-level privacy guarantee end to end. See
+// internal/fedserve calls the same DPFedAvgStep for its continuous
+// train-to-serve rounds when a DP config is set, so a served model chain
+// can carry a user-level privacy guarantee end to end. See
 // ARCHITECTURE.md at the repository root.
 package privacy

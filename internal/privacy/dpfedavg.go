@@ -99,11 +99,6 @@ func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, cla
 	// client weights w_k = 1.
 	expectedMass := cfg.P * float64(len(shards))
 
-	deltas := make([]*tensor.Matrix, len(globalParams))
-	for i, p := range globalParams {
-		deltas[i] = tensor.New(p.Value.Rows(), p.Value.Cols())
-	}
-
 	trainer := &federated.SGDTrainer{
 		Factory: factory,
 		Classes: classes,
@@ -113,19 +108,7 @@ func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, cla
 	}
 	globalVals := federated.ParamValues(globalParams)
 
-	// Per-client delta scratch, pooled: one buffer set reused across every
-	// client of every round (the joint clip needs a whole client's delta at
-	// once, so the subtraction cannot stream into the accumulator directly).
-	scratch := make([]*tensor.Matrix, len(globalParams))
-	for i, p := range globalParams {
-		scratch[i] = tensor.Get(p.Value.Rows(), p.Value.Cols())
-		defer tensor.Put(scratch[i])
-	}
-
 	for round := 0; round < cfg.Rounds; round++ {
-		for i := range deltas {
-			deltas[i].Zero()
-		}
 		// Independent Bernoulli(P) selection, with per-client seeds drawn in
 		// client order so the parallel fan-out reproduces the sequential run.
 		var selected []int
@@ -138,43 +121,17 @@ func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, cla
 			seeds = append(seeds, rng.Int63())
 		}
 		participating := len(selected)
-		var roundLoss float64
-		if participating > 0 {
-			updates, err := federated.FanOut(trainer, shards, selected, globalVals, seeds, cfg.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("round %d: %w", round, err)
-			}
-			for _, u := range updates {
-				roundLoss += u.Loss
-				// delta_k = w_local - w_global, bounded to joint L2 norm Clip
-				// across all parameter matrices.
-				for i := range scratch {
-					if err := tensor.SubInto(scratch[i], u.Weights[i], globalVals[i]); err != nil {
-						return nil, err
-					}
-				}
-				ClipJoint(scratch, cfg.Clip)
-				for i := range deltas {
-					if err := tensor.AddInPlace(deltas[i], scratch[i]); err != nil {
-						return nil, err
-					}
-				}
-			}
-			roundLoss /= float64(participating)
-			upBytes += int64(participating) * paramBytes
-			downBytes += int64(participating) * paramBytes
+		updates, err := federated.FanOut(trainer, shards, round, selected, globalVals, seeds, cfg.Workers)
+		if err != nil {
+			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
-
-		// Fixed-denominator estimator + Gaussian noise on the average.
-		for i, p := range globalParams {
-			deltas[i].ScaleInPlace(1 / expectedMass)
-			if cfg.Sigma > 0 {
-				AddGaussian(rng, deltas[i], cfg.Sigma*cfg.Clip/expectedMass)
-			}
-			if err := tensor.AddInPlace(p.Value, deltas[i]); err != nil {
-				return nil, err
-			}
+		// An empty cohort still takes the step: the release is noise alone.
+		roundLoss, err := DPFedAvgStep(rng, globalVals, updates, cfg.Clip, cfg.Sigma, expectedMass)
+		if err != nil {
+			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
+		upBytes += int64(participating) * paramBytes
+		downBytes += int64(participating) * paramBytes
 		if acct != nil {
 			acct.AccumulateSteps(1)
 		}
@@ -199,9 +156,67 @@ func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, cla
 	return &DPFedAvgResult{Model: global, Stats: stats, Accountant: acct}, nil
 }
 
+// DPFedAvgStep applies the DP-FedAvg server step to global in place: each
+// update's delta against global is clipped to joint L2 norm clip, the clipped
+// deltas are summed and divided by the fixed denominator denom (q·W, the
+// expected cohort mass rather than the realised one, so the moments
+// accountant applies), and Gaussian noise of std sigma·clip/denom is added
+// to that average. It is the one implementation of the step: RunDPFedAvg and
+// the fedserve coordinator both call it. A failed update is refused before
+// global is touched. It returns the mean client loss (0 for an empty cohort).
+func DPFedAvgStep(rng *rand.Rand, global []*tensor.Matrix, updates []federated.Update, clip, sigma, denom float64) (float64, error) {
+	var loss float64
+	for _, u := range updates {
+		if u.Err != nil {
+			return 0, fmt.Errorf("client %d: %w", u.Client, u.Err)
+		}
+		loss += u.Loss
+	}
+	// The joint clip needs a whole client's delta at once, so the
+	// subtraction cannot stream into the accumulator directly.
+	sum := make([]*tensor.Matrix, len(global))
+	delta := make([]*tensor.Matrix, len(global))
+	for i, g := range global {
+		sum[i] = tensor.Get(g.Rows(), g.Cols())
+		delta[i] = tensor.Get(g.Rows(), g.Cols())
+	}
+	defer func() {
+		for i := range global {
+			tensor.Put(sum[i])
+			tensor.Put(delta[i])
+		}
+	}()
+	for _, u := range updates {
+		for i := range delta {
+			if err := tensor.SubInto(delta[i], u.Weights[i], global[i]); err != nil {
+				return 0, err
+			}
+		}
+		ClipJoint(delta, clip)
+		for i := range sum {
+			if err := tensor.AddInPlace(sum[i], delta[i]); err != nil {
+				return 0, err
+			}
+		}
+	}
+	for i, g := range global {
+		sum[i].ScaleInPlace(1 / denom)
+		if sigma > 0 {
+			AddGaussian(rng, sum[i], sigma*clip/denom)
+		}
+		if err := tensor.AddInPlace(g, sum[i]); err != nil {
+			return 0, err
+		}
+	}
+	if len(updates) > 0 {
+		loss /= float64(len(updates))
+	}
+	return loss, nil
+}
+
 // ClipJoint rescales a parameter-update set so its joint L2 norm (flattened
 // across all matrices) is at most bound — the per-client bounding step of
-// DP-FedAvg, shared with the fedserve coordinator's DP merge.
+// DP-FedAvg.
 func ClipJoint(update []*tensor.Matrix, bound float64) {
 	var sq float64
 	for _, m := range update {

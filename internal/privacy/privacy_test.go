@@ -302,6 +302,97 @@ func TestDPFedAvgEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDPFedAvgStep pins the shared server step: a client's clipped delta has
+// joint norm at most Clip, the average divides by the fixed denominator and
+// not by the realised cohort, the noise std is sigma*clip/denom, and sigma=0
+// adds none.
+func TestDPFedAvgStep(t *testing.T) {
+	const clip, denom = 2.0, 4.0
+	newGlobal := func() []*tensor.Matrix {
+		return []*tensor.Matrix{tensor.New(100, 100), tensor.New(1, 100)}
+	}
+	// shifted is a client whose weights sit at global + c in every element.
+	shifted := func(global []*tensor.Matrix, c float64) federated.Update {
+		w := make([]*tensor.Matrix, len(global))
+		for i, g := range global {
+			w[i] = g.Clone()
+			for j := range w[i].Data() {
+				w[i].Data()[j] += c
+			}
+		}
+		return federated.Update{ClientResult: federated.ClientResult{Weights: w, N: 1, Loss: c}}
+	}
+	jointNorm := func(ms []*tensor.Matrix) float64 {
+		var sq float64
+		for _, m := range ms {
+			for _, v := range m.Data() {
+				sq += v * v
+			}
+		}
+		return math.Sqrt(sq)
+	}
+	elems := 100*100 + 100
+
+	// One oversized client (delta norm 100.5): the step moves the global by
+	// exactly clip/denom.
+	global := newGlobal()
+	loss, err := DPFedAvgStep(nil, global, []federated.Update{shifted(global, 1)}, clip, 0, denom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := jointNorm(global) * denom; math.Abs(got-clip) > 1e-9 {
+		t.Fatalf("clipped delta norm %v, want %v", got, clip)
+	}
+	if loss != 1 {
+		t.Fatalf("mean loss %v, want 1", loss)
+	}
+
+	// Two small clients (delta norm ~0.1 each, unclipped): the sum is divided
+	// by denom=4, not by the two that showed up.
+	global = newGlobal()
+	small := 0.001
+	ups := []federated.Update{shifted(global, small), shifted(global, small)}
+	if _, err := DPFedAvgStep(nil, global, ups, clip, 0, denom); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range global {
+		for _, v := range g.Data() {
+			if math.Abs(v-2*small/denom) > 1e-15 {
+				t.Fatalf("element %v, want %v (fixed denominator)", v, 2*small/denom)
+			}
+		}
+	}
+
+	// Noise alone: an empty cohort at sigma=1.5 releases N(0, (sigma*clip/denom)^2).
+	global = newGlobal()
+	if _, err := DPFedAvgStep(rand.New(rand.NewSource(1)), global, nil, clip, 1.5, denom); err != nil {
+		t.Fatal(err)
+	}
+	wantStd := 1.5 * clip / denom
+	if got := jointNorm(global) / math.Sqrt(float64(elems)); math.Abs(got-wantStd) > 0.05*wantStd {
+		t.Fatalf("noise std %v, want %v", got, wantStd)
+	}
+
+	// sigma=0 adds nothing (and needs no rng).
+	global = newGlobal()
+	if _, err := DPFedAvgStep(nil, global, nil, clip, 0, denom); err != nil {
+		t.Fatal(err)
+	}
+	if jointNorm(global) != 0 {
+		t.Fatal("sigma=0 step moved the global")
+	}
+
+	// A failed update is refused before the global moves.
+	boom := errors.New("boom")
+	bad := []federated.Update{shifted(global, 1), {Client: 3, Err: boom}}
+	if _, err := DPFedAvgStep(nil, global, bad, clip, 0, denom); !errors.Is(err, boom) {
+		t.Fatalf("failed update: %v", err)
+	}
+	if jointNorm(global) != 0 {
+		t.Fatal("refused step moved the global")
+	}
+}
+
 func TestDPFedAvgValidation(t *testing.T) {
 	factory := func() (*nn.Sequential, error) {
 		r := rand.New(rand.NewSource(1))

@@ -18,7 +18,7 @@ var ErrDropout = errors.New("sim: client dropped out")
 // simTimeScale compresses simulated device latency into test-friendly real
 // time: a straggler whose round costs N simulated ms sleeps N*simTimeScale
 // real ms, capped at simSleepCap so pathological workloads cannot stall a
-// round. The sleep shifts wall-clock only — under synchronous rounds it
+// round. The sleep shifts wall-clock only — rounds are synchronous, so it
 // never changes outcomes, which is what keeps determinism intact.
 const (
 	simTimeScale = 10
@@ -38,9 +38,9 @@ type clientSim struct {
 
 	// Stale-base rotation: the first job of each round deep-copies that
 	// round's global weights; stale clients train from the previous round's
-	// copy. Under synchronous rounds (Quorum=1) every job of round r
-	// carries identical global values, so the rotation is deterministic no
-	// matter which worker gets there first.
+	// copy. Rounds are synchronous, so every job of round r carries
+	// identical global values and the rotation is deterministic no matter
+	// which worker gets there first.
 	mu       sync.Mutex
 	curRound int
 	curBase  []*tensor.Matrix

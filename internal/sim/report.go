@@ -30,13 +30,13 @@ func WriteReport(w io.Writer, meta RunMeta, results []*Result) {
 	}
 	fmt.Fprint(w, "\n\n")
 
-	fmt.Fprintln(w, "| scenario | clients | rounds | rounds/sec | final acc | best acc | merged | failed | stale | peak RSS | SLO |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|")
+	fmt.Fprintln(w, "| scenario | clients | rounds | rounds/sec | final acc | best acc | merged | failed | peak RSS | SLO |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|")
 	for _, r := range results {
-		fmt.Fprintf(w, "| %s | %d | %d | %.2f | %.4f | %.4f | %d | %d | %d | %s | %s |\n",
+		fmt.Fprintf(w, "| %s | %d | %d | %.2f | %.4f | %.4f | %d | %d | %s | %s |\n",
 			r.Scenario.Name, r.Scenario.Clients, r.Rounds, r.RoundsPerSec,
 			r.FinalAccuracy, r.BestAccuracy,
-			r.MergedUpdates, r.FailedClients, r.DroppedStale,
+			r.MergedUpdates, r.FailedClients,
 			fmtBytes(r.PeakRSSBytes), sloVerdict(r))
 	}
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -21,7 +20,7 @@ import (
 // Options tune one scenario run without changing its outcome-relevant shape.
 type Options struct {
 	// Workers sizes the coordinator's client-training pool (0 = GOMAXPROCS).
-	// Synchronous scenarios produce identical results at any worker count.
+	// Scenarios produce identical results at any worker count.
 	Workers int
 	// ReplayTargets, when non-empty, aims the traffic replay at external
 	// base URLs (cluster mode: each target gets its own replay) instead of
@@ -49,7 +48,6 @@ type Result struct {
 	TrainDuration time.Duration
 
 	MergedUpdates int
-	DroppedStale  int
 	FailedClients int
 
 	// HonestScore / AdversaryScore are the mean selector reputations of
@@ -94,7 +92,6 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Result, error) {
 		Seed:    sc.Seed,
 		Workers: opts.Workers,
 		Trainer: trainer,
-		Quorum:  sc.Quorum,
 		// Tolerate transient regressions so poisoned runs still publish
 		// recovered versions; the eval trajectory records every round.
 		AccuracyDrop: 0.05,
@@ -205,13 +202,12 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Result, error) {
 	st := coord.Status()
 	res.Rounds = st.Round
 	res.MergedUpdates = st.MergedUpdates
-	res.DroppedStale = st.DroppedStale
 	res.FailedClients = st.FailedClients
 	res.FinalAccuracy = st.LastAccuracy
 	res.BestAccuracy = st.BestAccuracy
 	res.History = coord.History()
 	for _, rs := range res.History {
-		if !math.IsNaN(rs.Accuracy) {
+		if rs.Accuracy >= 0 {
 			res.Accuracies = append(res.Accuracies, rs.Accuracy)
 		}
 	}

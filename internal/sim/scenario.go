@@ -76,9 +76,6 @@ type Scenario struct {
 	LocalEpochs int
 	LocalBatch  int
 	LocalLR     float64
-	// Quorum passes through to the coordinator (default 1 = synchronous,
-	// which keeps rounds deterministic).
-	Quorum float64
 
 	// StragglerFrac is the fraction of clients on slow midrange devices;
 	// their simulated training cost (from mobile.WorkloadFor) is slept in

@@ -96,6 +96,40 @@ func TestScenarioMatrix(t *testing.T) {
 	}
 }
 
+// TestUnevaluatedRoundsStayOutOfAccuracies: a round whose whole cohort drops
+// out merges nothing and is not evaluated; its History entry carries -1, and
+// that marker must not leak into the accuracy trajectory.
+func TestUnevaluatedRoundsStayOutOfAccuracies(t *testing.T) {
+	r, err := Run(context.Background(), Scenario{
+		Name: "lonely", Seed: 1, Clients: 200, Rounds: 12, Cohort: 1, DropoutRate: 0.5,
+	}, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evaluated, empty int
+	for _, rs := range r.History {
+		if rs.ParticipatingUsers == 0 {
+			empty++
+			if rs.Accuracy != -1 {
+				t.Fatalf("round %d merged nothing but reports accuracy %v", rs.Round, rs.Accuracy)
+			}
+		} else {
+			evaluated++
+		}
+	}
+	if empty == 0 || evaluated == 0 {
+		t.Fatalf("want a mix of empty and evaluated rounds, got %d empty, %d evaluated", empty, evaluated)
+	}
+	if len(r.Accuracies) != evaluated {
+		t.Fatalf("%d accuracies for %d evaluated rounds: %v", len(r.Accuracies), evaluated, r.Accuracies)
+	}
+	for _, a := range r.Accuracies {
+		if a < 0 {
+			t.Fatalf("unevaluated marker leaked into the trajectory: %v", r.Accuracies)
+		}
+	}
+}
+
 // TestPopulationProfiles pins the hashed-profile mechanics: fractions land
 // near their targets over a large population, and profiles are pure
 // functions of (seed, client).
