@@ -5,7 +5,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X mobiledl/internal/version.Version=$(VERSION)"
 
-.PHONY: all build test race vet lint analyze loadcheck tracecheck crashcheck simcheck sim-full cluster-up cluster-check fmt docs-check cover bench serve-bench bench-suite bench-compare
+.PHONY: all build test race fuzz vet lint analyze loadcheck tracecheck crashcheck simcheck sim-full cluster-up cluster-check fmt docs-check cover bench serve-bench bench-suite bench-compare
 
 all: build test vet
 
@@ -22,9 +22,23 @@ test:
 # consumers that pool scratch.
 race:
 	$(GO) test -race ./internal/serve/... ./internal/fedserve/... ./internal/metrics/... \
-		./internal/store/... ./internal/cluster/... ./cmd/mobiledlserve/... \
+		./internal/store/... ./internal/cluster/... ./internal/wire/... ./cmd/mobiledlserve/... \
 		./internal/federated/... ./internal/privacy/... ./internal/sim/... \
 		./internal/tensor/... ./internal/nn/... ./internal/split/...
+
+# Fuzz every Fuzz* target of the module in turn, FUZZTIME each (go test
+# -fuzz takes one target of one package per run). The seeds each target adds
+# also run as plain tests under `make test`; a crasher lands in the package's
+# testdata/fuzz/ and is committed with its fix.
+FUZZTIME ?= 30s
+fuzz:
+	@set -e; \
+	for dir in $$(grep -rl --include='*_test.go' --exclude-dir=tools '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \
+			echo "== fuzz $$dir $$target ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$dir; \
+		done; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -17,6 +17,7 @@ import (
 	"mobiledl/internal/leakcheck"
 	"mobiledl/internal/metrics"
 	"mobiledl/internal/trace"
+	"mobiledl/internal/wire"
 )
 
 func quietLogger() *slog.Logger {
@@ -587,30 +588,84 @@ func TestMalformedHopsHeader(t *testing.T) {
 	}
 }
 
-// TestModellessBodyPassesThrough: bodies the sniffer can't route go to the
-// local serving layer, whose 4xx wording is authoritative.
-func TestModellessBodyPassesThrough(t *testing.T) {
+// TestUnroutableBodyPassesThrough: a body the codec finds no model in —
+// none sent, not a string, or not a request at all — and a model no node
+// claims all go to the local serving layer, byte for byte, so that its 4xx
+// wording is authoritative.
+func TestUnroutableBodyPassesThrough(t *testing.T) {
 	var gotBody capture
 	a := startTestNode(t, "node-a", staticInventory("m"),
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			body, _ := io.ReadAll(r.Body)
 			gotBody.set(string(body))
-			http.Error(w, "model required", http.StatusBadRequest)
+			http.Error(w, "serve says no", http.StatusTeapot)
 		}), nil)
 	inject(a.n, "node-b", "127.0.0.1:1", map[string]int{"m": 1})
 
-	req, _ := http.NewRequest(http.MethodPost, "http://"+a.addr+"/v1/predict",
-		strings.NewReader(`{"features":[1,2,3]}`))
-	resp, err := http.DefaultClient.Do(req)
+	for _, body := range []string{
+		`{"features":[1,2,3]}`,
+		`{"model":null,"features":[[1]]}`,
+		`{"model":7}`,
+		`{"model":"m","features":[[1,2`,
+		`{"model":"m"} trailing`,
+		`not json at all`,
+		``,
+		`{"model":"ghost","features":[[1]]}`,
+	} {
+		resp, err := http.Post("http://"+a.addr+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("predict: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTeapot {
+			t.Errorf("%q: status = %d, want the local handler's", body, resp.StatusCode)
+		}
+		if gotBody.get() != body {
+			t.Errorf("local handler got body %q, want the re-buffered original %q", gotBody.get(), body)
+		}
+	}
+	if got := a.n.forwards.Load(); got != 0 {
+		t.Errorf("%d forwards, want none", got)
+	}
+}
+
+// TestOversizedBodyIs400: the router holds a body to the codec's limit — the
+// one the serving layer enforces — and answers what serve would, without
+// forwarding or serving it.
+func TestOversizedBodyIs400(t *testing.T) {
+	a := startTestNode(t, "node-a", staticInventory(),
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			t.Error("oversized body reached the local handler")
+		}), nil)
+	b := startTestNode(t, "node-b", staticInventory("m"), fakeServe("node-b", 1), nil)
+	inject(a.n, "node-b", b.addr, map[string]int{"m": 1})
+
+	fits := `{"model":"m","features":[[` + strings.Repeat("1,", (wire.MaxBodyBytes-64)/2) + `1]]}`
+	resp, err := http.Post("http://"+a.addr+"/v1/predict", "application/json", strings.NewReader(fits))
 	if err != nil {
 		t.Fatalf("predict: %v", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want the local handler's 400", resp.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || a.n.forwards.Load() != 1 {
+		t.Fatalf("%d-byte body: status %d after %d forwards, want it forwarded", len(fits), resp.StatusCode, a.n.forwards.Load())
 	}
-	if !strings.Contains(gotBody.get(), "features") {
-		t.Fatalf("local handler got body %q, want the re-buffered original", gotBody.get())
+
+	for _, chunked := range []bool{false, true} {
+		var body io.Reader = strings.NewReader(fits + strings.Repeat(" ", wire.MaxBodyBytes))
+		if chunked {
+			body = io.MultiReader(body) // hides the length: no Content-Length to refuse up front
+		}
+		resp, err := http.Post("http://"+a.addr+"/v1/predict", "application/json", body)
+		if err != nil {
+			t.Fatalf("predict: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("oversized body (chunked %v): status = %d, want 400", chunked, resp.StatusCode)
+		}
+	}
+	if got := a.n.forwards.Load(); got != 1 {
+		t.Errorf("%d forwards, want only the body that fit", got)
 	}
 }
 

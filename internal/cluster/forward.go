@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"mobiledl/internal/trace"
+	"mobiledl/internal/wire"
 )
 
 // Forwarding headers. Hops counts how many times a request has been proxied
@@ -27,10 +27,6 @@ const (
 // maxForwardAttempts bounds retries: at most this many peers are tried per
 // request before the forwarder gives up (a local fallback may still apply).
 const maxForwardAttempts = 2
-
-// maxPredictBody mirrors the serving layer's /v1/predict body cap so the
-// model sniff never buffers more than the handler behind it would accept.
-const maxPredictBody = 8 << 20
 
 // Handler wraps the serving mux with the cluster's routing layer: it mounts
 // the gossip and state endpoints and intercepts POST /v1/predict — requests
@@ -110,15 +106,15 @@ func (n *Node) routePredict(w http.ResponseWriter, r *http.Request, next http.Ha
 		return
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPredictBody))
+	// Read once into a buffer of its own (a forward can outlive this call, so
+	// it is never recycled); the codec's scan finds the model, converting nothing.
+	body, err := wire.ReadBody(r.Body, r.ContentLength, nil)
 	if err != nil {
 		clusterError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	var sniff struct {
-		Model string `json:"model"`
-	}
-	if json.Unmarshal(body, &sniff) != nil || sniff.Model == "" {
+	model := wire.Model(body)
+	if model == "" {
 		// Malformed or model-less body: the serving layer owns that 4xx.
 		if !n.admit() {
 			n.shed429(w)
@@ -129,7 +125,7 @@ func (n *Node) routePredict(w http.ResponseWriter, r *http.Request, next http.Ha
 	}
 
 	now := time.Now()
-	cands := n.candidates(sniff.Model, now)
+	cands := n.candidates(model, now)
 	if len(cands) == 0 {
 		// Nobody in the cluster claims the model; serve locally so the
 		// registry's 404 (or a just-installed model gossip hasn't spread
@@ -146,7 +142,7 @@ func (n *Node) routePredict(w http.ResponseWriter, r *http.Request, next http.Ha
 	spStarted := false
 	startSpan := func() trace.Span {
 		if !spStarted {
-			sp = n.forwardSpan(r, sniff.Model, hops)
+			sp = n.forwardSpan(r, model, hops)
 			spStarted = true
 			if sp.Active() {
 				w.Header().Set("traceparent", sp.Traceparent())
@@ -196,13 +192,13 @@ func (n *Node) routePredict(w http.ResponseWriter, r *http.Request, next http.Ha
 		// Every holder is remote and the hop budget is spent: a stale ring
 		// has routed the request in a circle. Break the loop.
 		n.hopRejects.Add(1)
-		err := fmt.Errorf("forwarding loop: model %q not local after %d hops (stale ring?)", sniff.Model, hops)
+		err := fmt.Errorf("forwarding loop: model %q not local after %d hops (stale ring?)", model, hops)
 		if spStarted {
 			sp.EndErr(err)
 		}
 		clusterError(w, http.StatusBadGateway, err)
 	default:
-		err := fmt.Errorf("no reachable owner for model %q (%d forward attempts failed)", sniff.Model, attempts)
+		err := fmt.Errorf("no reachable owner for model %q (%d forward attempts failed)", model, attempts)
 		if spStarted {
 			sp.EndErr(err)
 		}

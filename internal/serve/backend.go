@@ -12,6 +12,7 @@ import (
 	"mobiledl/internal/split"
 	"mobiledl/internal/tensor"
 	"mobiledl/internal/trace"
+	"mobiledl/internal/wire"
 )
 
 // Backend is one servable model family behind the batcher: anything that can
@@ -67,22 +68,10 @@ type BackendInfo struct {
 // layer (the "options" object of /v1/predict) through the batcher to the
 // backend. The zero value is the default request. Rows whose options differ
 // in execution-relevant ways are never coalesced into the same tensor batch.
-type RequestOptions struct {
-	// TopK asks for the top-K class probabilities per row. 0 (default)
-	// returns the argmax class only and skips the softmax entirely.
-	TopK int `json:"top_k,omitempty"`
-	// Version pins the request to a specific registry version of the model
-	// (0 = current). Pinned versions resolve as long as the registry still
-	// retains them (see Registry version history).
-	Version int `json:"version,omitempty"`
-	// NoPerturb disables the cascade's privacy perturbation for offloaded
-	// rows — an accuracy-debugging knob; the simulated uplink is still paid.
-	// Dense and baseline backends ignore it.
-	NoPerturb bool `json:"no_perturb,omitempty"`
-}
+type RequestOptions = wire.Options
 
-// Validate rejects malformed options as a client error.
-func (o RequestOptions) Validate() error {
+// validateOptions rejects malformed options as a client error.
+func validateOptions(o RequestOptions) error {
 	if o.TopK < 0 {
 		return fmt.Errorf("%w: top_k %d negative", ErrRequest, o.TopK)
 	}

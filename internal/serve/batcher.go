@@ -186,7 +186,7 @@ func (b *Batcher) submit(ctx context.Context, features []float64, opts RequestOp
 	if len(features) != b.dim {
 		return Result{}, fmt.Errorf("%w: got %d features, model expects %d", ErrRequest, len(features), b.dim)
 	}
-	if err := opts.Validate(); err != nil {
+	if err := validateOptions(opts); err != nil {
 		return Result{}, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -421,5 +422,77 @@ func TestServerNegativeTimeoutIs400(t *testing.T) {
 	resp, _ := postPredict(t, ts, body)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative timeout_ms returned %d, want 400", resp.StatusCode)
+	}
+}
+
+// stallBackend answers class = first feature, except that a batch whose first
+// feature is negative first waits for a token on gate, deaf to its context: a
+// worker still holding a request's features after the request expired.
+type stallBackend struct{ blockBackend }
+
+func (sb *stallBackend) RunBatch(_ context.Context, _ *ExecEnv, batch *tensor.Matrix, _ RequestOptions) (BatchResult, error) {
+	if batch.At(0, 0) < 0 {
+		<-sb.gate
+	}
+	out := make([]Result, batch.Rows())
+	for i := range out {
+		out[i].Class = int(batch.At(i, 0))
+	}
+	return BatchResult{Results: out}, nil
+}
+
+// TestServerExpiredRequestKeepsItsFeatureBuffer pins the pooled-feature
+// lifetime: submit returns on ctx.Done() with no word from the worker that
+// read the row, so a request that ends in 504 must not hand its feature
+// buffer to the next request. The worker is held in the backend, with no
+// synchronization after its copy of the expired row, while the next request
+// decodes; under -race a recycled buffer shows as that decode's write racing
+// the copy.
+func TestServerExpiredRequestKeepsItsFeatureBuffer(t *testing.T) {
+	reg := NewRegistry()
+	sb := &stallBackend{blockBackend{gate: make(chan struct{}), dim: 2}}
+	if _, err := reg.Install("stall", sb); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(reg)
+	rt, err := NewRuntime(RuntimeConfig{
+		Registry: reg, Model: "stall",
+		Batch: BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Add(rt)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	for i := 1; i <= 8; i++ {
+		resp, _ := postPredict(t, ts, []byte(`{"model":"stall","features":[[-1,0]],"timeout_ms":5}`))
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("stalled predict returned %d, want 504", resp.StatusCode)
+		}
+		// The next request on the same connection decodes at once, and is
+		// admitted behind the row the worker is still holding.
+		next := make(chan *http.Response, 1)
+		go func() {
+			body := fmt.Sprintf(`{"model":"stall","features":[[%d,0]]}`, i)
+			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+			}
+			next <- resp
+		}()
+		waitInflight(t, rt.batcher, 2)
+		sb.gate <- struct{}{}
+		resp = <-next
+		if resp == nil {
+			t.FailNow()
+		}
+		var pr PredictResponse
+		err := json.NewDecoder(resp.Body).Decode(&pr)
+		resp.Body.Close()
+		if err != nil || len(pr.Rows) != 1 || pr.Rows[0].Class != i {
+			t.Fatalf("request after an expired one: %+v, err %v, want class %d", pr, err, i)
+		}
 	}
 }

@@ -65,12 +65,6 @@ var ErrClosed = errors.New("serve: runtime closed")
 // layer maps it to 429 with a Retry-After hint.
 var ErrOverloaded = errors.New("serve: overloaded, request shed")
 
-// ClassProb is one class's probability in a top-K breakdown.
-type ClassProb struct {
-	Class int     `json:"class"`
-	Prob  float64 `json:"prob"`
-}
-
 // Result is the answer to one inference request.
 type Result struct {
 	// Class is the predicted label.

@@ -19,6 +19,7 @@ import (
 	"mobiledl/internal/metrics"
 	"mobiledl/internal/trace"
 	"mobiledl/internal/version"
+	"mobiledl/internal/wire"
 )
 
 // ServerConfig tunes HTTP-level serving policy: the per-request compute
@@ -212,78 +213,76 @@ func (s *Server) handleBackup(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// PredictRequest is the /v1/predict body.
-type PredictRequest struct {
-	Model    string      `json:"model"`
-	Features [][]float64 `json:"features"`
-	// Options applies to every row of the request.
-	Options RequestOptions `json:"options"`
-	// TimeoutMs overrides the server's default deadline budget for this
-	// request (capped by ServerConfig.MaxTimeout; 0 inherits the default).
-	TimeoutMs int `json:"timeout_ms,omitempty"`
+// PredictRequest and PredictResponse are the /v1/predict bodies; the types
+// live with their codec in internal/wire, which the cluster router shares.
+type (
+	PredictRequest  = wire.Request
+	PredictResponse = wire.Response
+	ClassProb       = wire.ClassProb // one class's probability in a top-K breakdown
+)
+
+// predictScratch is what one /v1/predict exchange allocates that can serve the
+// next: the body bytes (read, decoded, then overwritten by the reply), the
+// decoded request with its flat feature buffer, and the per-row result slots.
+type predictScratch struct {
+	buf     []byte
+	req     wire.Request
+	results []Result
+	errs    []error
+	rows    []wire.Row
 }
 
-// RowResult is one row's answer in a PredictResponse: the prediction plus
-// the serving breakdown — where the row ran, which registry version answered
-// it, and how its latency decomposes into queueing, compute, and simulated
-// transfer. The model version is per row: during a hot swap, rows of one
-// request can legitimately be served by different versions.
-type RowResult struct {
-	Class        int         `json:"class"`
-	Probs        []ClassProb `json:"probs,omitempty"`
-	Local        bool        `json:"local"`
-	Placement    string      `json:"placement"`
-	ModelVersion int         `json:"model_version"`
-	BatchSize    int         `json:"batch_size"`
-	QueueMs      float64     `json:"queue_ms"`
-	ExecMs       float64     `json:"exec_ms"`
-	SimNetMs     float64     `json:"sim_net_ms"`
-}
+var scratchPool = sync.Pool{New: func() any { return new(predictScratch) }}
 
-// PredictResponse is the /v1/predict reply.
-type PredictResponse struct {
-	Model string      `json:"model"`
-	Rows  []RowResult `json:"rows"`
-}
-
-// maxRowsPerRequest bounds the per-request fan-out (one goroutine per row).
-const maxRowsPerRequest = 1024
-
-// maxBodyBytes bounds the /v1/predict body (1024 rows of wide float64
-// features fit comfortably; anything bigger is a client error, not an
-// allocation).
-const maxBodyBytes = 8 << 20
+// maxPooledBody keeps one outsized request from pinning megabytes in the
+// pool: scratch that grew past it is left to the GC.
+const maxPooledBody = 1 << 20
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	sc := scratchPool.Get().(*predictScratch)
+	if s.predict(w, r, sc) && cap(sc.buf) <= maxPooledBody {
+		scratchPool.Put(sc)
+	}
+}
+
+// predict serves one request out of sc and reports whether sc may be reused.
+// It may not once a row has failed: Batcher.submit returns on ctx.Done()
+// while a worker can still be copying that row's features into its batch, so
+// the feature buffer is only known to be free when every row was answered
+// through the batcher — anything else is left to the GC.
+func (s *Server) predict(w http.ResponseWriter, r *http.Request, sc *predictScratch) (reusable bool) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
+		return true
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		// Covers malformed JSON and bodies over maxBodyBytes alike: both are
-		// client faults, never a 500.
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
+	// Decode and encode are timed for the root span only; with no tracer
+	// the clock is never read.
+	var began time.Time
+	if s.cfg.Tracer != nil {
+		began = time.Now()
 	}
-	if len(req.Features) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("no feature rows"))
-		return
+	var err error
+	if sc.buf, err = wire.ReadBody(r.Body, r.ContentLength, sc.buf); err == nil {
+		err = wire.Decode(sc.buf, &sc.req)
 	}
-	if len(req.Features) > maxRowsPerRequest {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("%d feature rows exceeds the per-request limit of %d", len(req.Features), maxRowsPerRequest))
-		return
+	req := &sc.req
+	rt, served := s.runtime(req.Model)
+	status := http.StatusBadRequest
+	switch {
+	case err != nil:
+		// Malformed JSON, a body over wire.MaxBodyBytes and more than
+		// wire.MaxRows rows alike: client faults, never a 500.
+		err = fmt.Errorf("bad request body: %w", err)
+	case len(req.Features) == 0:
+		err = errors.New("no feature rows")
+	case req.TimeoutMs < 0:
+		err = fmt.Errorf("negative timeout_ms %d", req.TimeoutMs)
+	case !served:
+		status, err = http.StatusNotFound, fmt.Errorf("model %q not served", req.Model)
 	}
-	if req.TimeoutMs < 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("negative timeout_ms %d", req.TimeoutMs))
-		return
-	}
-	rt, ok := s.runtime(req.Model)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("model %q not served", req.Model))
-		return
+	if err != nil {
+		httpError(w, status, err)
+		return true
 	}
 
 	// Trace the request: an inbound traceparent with the sampled flag joins
@@ -293,6 +292,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sp := s.rootSpan(r, req.Model, len(req.Features))
 	if sp.Active() {
 		w.Header().Set("traceparent", sp.Traceparent())
+		sp.Annotate(trace.Num("body_bytes", float64(len(sc.buf))),
+			trace.Num("decode_us", float64(time.Since(began).Microseconds())))
 	}
 
 	// Derive the request deadline: the client's timeout_ms if sent (capped),
@@ -314,28 +315,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// Fan the rows out so they coalesce with other clients' requests. Under a
-	// trace, each row goroutine gets its own child span (span allocation in
-	// the shared slab is atomic; every goroutine writes only spans it
-	// created) so sub-batch splits stay attributable per row.
-	results := make([]Result, len(req.Features))
-	errs := make([]error, len(req.Features))
+	n := len(req.Features)
+	sc.results = append(sc.results[:0], make([]Result, n)...)
+	sc.errs = append(sc.errs[:0], make([]error, n)...)
+	// Fan the rows out so they coalesce with other clients' requests; the
+	// first — of a mobile client's request, the only — runs on this goroutine.
 	var wg sync.WaitGroup
-	for i, row := range req.Features {
-		wg.Add(1)
-		go func(i int, row []float64) {
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
 			defer wg.Done()
-			rctx := ctx
-			if sp.Active() {
-				rsp := sp.Child("row", trace.Num("row", float64(i)))
-				defer func() { rsp.EndErr(errs[i]) }()
-				rctx = trace.WithSpan(ctx, rsp)
-			}
-			results[i], errs[i] = rt.PredictWith(rctx, row, req.Options)
-		}(i, row)
+			predictRow(ctx, sp, rt, sc, i)
+		}()
 	}
+	predictRow(ctx, sp, rt, sc, 0)
 	wg.Wait()
-	for _, err := range errs {
+	for _, err := range sc.errs {
 		if err != nil {
 			status := http.StatusInternalServerError
 			switch {
@@ -360,14 +355,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 					"status", status, "trace_id", sp.TraceID(), "err", err)
 			}
 			httpError(w, status, err)
-			return
+			return false
 		}
 	}
-	sp.End()
 
-	resp := PredictResponse{Model: req.Model, Rows: make([]RowResult, len(results))}
-	for i, res := range results {
-		resp.Rows[i] = RowResult{
+	if sp.Active() {
+		began = time.Now()
+	}
+	sc.rows = sc.rows[:0]
+	for i := range sc.results {
+		res := &sc.results[i]
+		sc.rows = append(sc.rows, wire.Row{
 			Class:        res.Class,
 			Probs:        res.Probs,
 			Local:        res.Local,
@@ -377,9 +375,30 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			QueueMs:      res.QueueMs,
 			ExecMs:       res.ExecMs,
 			SimNetMs:     res.SimNetMs,
-		}
+		})
 	}
-	writeJSON(w, resp)
+	// The request bytes are spent (Decode kept none of them), so the reply
+	// is rendered over them and leaves in one Write.
+	sc.buf = wire.AppendResponse(sc.buf[:0], req.Model, sc.rows)
+	if sp.Active() {
+		sp.End(trace.Num("encode_us", float64(time.Since(began).Microseconds())))
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(sc.buf) // headers are gone; nothing useful left to do
+	return true
+}
+
+// predictRow answers row i of sc.req into its result slot. Under a trace the
+// row gets its own child span (span allocation in the shared slab is atomic;
+// every goroutine writes only spans it created) so sub-batch splits stay
+// attributable per row.
+func predictRow(ctx context.Context, sp trace.Span, rt *Runtime, sc *predictScratch, i int) {
+	if sp.Active() {
+		sp = sp.Child("row", trace.Num("row", float64(i)))
+		ctx = trace.WithSpan(ctx, sp)
+	}
+	sc.results[i], sc.errs[i] = rt.PredictWith(ctx, sc.req.Features[i], sc.req.Options)
+	sp.EndErr(sc.errs[i])
 }
 
 // rootSpan decides tracing for one predict request. An inbound sampled

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mobiledl/internal/leakcheck"
+	"mobiledl/internal/wire"
 )
 
 // newErrorTestServer serves one dense model and returns the test server plus
@@ -68,11 +69,11 @@ func TestPredictBadJSONIs400(t *testing.T) {
 
 func TestPredictOversizedBodyIs400(t *testing.T) {
 	ts, _ := newErrorTestServer(t)
-	// A syntactically valid body bigger than maxBodyBytes: the decoder hits
-	// MaxBytesReader's limit mid-stream, which must surface as 400, not 500.
+	// A syntactically valid body bigger than wire.MaxBodyBytes: the body
+	// reader refuses it, which must surface as 400, not 500.
 	var sb strings.Builder
 	sb.WriteString(`{"model":"mlp","features":[[`)
-	for sb.Len() < maxBodyBytes+1024 {
+	for sb.Len() < wire.MaxBodyBytes+1024 {
 		sb.WriteString("1.2345678901234567,")
 	}
 	sb.WriteString(`1]]}`)

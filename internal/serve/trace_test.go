@@ -193,6 +193,17 @@ func TestServerTraceparentRoundTrip(t *testing.T) {
 			t.Fatalf("joined trace missing %q span: %v", want, names)
 		}
 	}
+	// The root span carries the codec's share of the request: the span opens
+	// after decode (it needs the model name), so decode rides as an attribute.
+	root, _ := findSpan(&td, "http.predict")
+	for _, attr := range []string{"decode_us", "encode_us"} {
+		if v, ok := root.Attrs[attr].(float64); !ok || v < 0 {
+			t.Fatalf("http.predict %s = %v, want a non-negative number: %v", attr, root.Attrs[attr], root.Attrs)
+		}
+	}
+	if v, _ := root.Attrs["body_bytes"].(float64); v != float64(len(body)) {
+		t.Fatalf("http.predict body_bytes = %v, want %d", root.Attrs["body_bytes"], len(body))
+	}
 }
 
 // TestCascadeTraceSpanTree is the acceptance check for the span hierarchy: a
