@@ -137,43 +137,45 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulInto measures the destination-passing kernel at the same
-// mobile-scale shape as BenchmarkMatMul: the delta is pure allocation/GC
-// overhead, and allocs/op here must stay 0.
-func BenchmarkMatMulInto(b *testing.B) {
+// benchMatMulInto times tensor.MatMulInto at one shape and reports the cost
+// of one multiply-accumulate, the figure that compares kernels across shapes.
+func benchMatMulInto(b *testing.B, rows, inner, cols int) {
 	rng := rand.New(rand.NewSource(1))
-	x := tensor.RandNormal(rng, 64, 128, 0, 1)
-	w := tensor.RandNormal(rng, 128, 64, 0, 1)
-	dst := tensor.New(64, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tensor.MatMulInto(dst, x, w); err != nil {
-			b.Fatal(err)
+	x := tensor.RandNormal(rng, rows, inner, 0, 1)
+	w := tensor.RandNormal(rng, inner, cols, 0, 1)
+	dst := tensor.New(rows, cols)
+	b.Run(fmt.Sprintf("%dx%dx%d", rows, inner, cols), func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := tensor.MatMulInto(dst, x, w); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(rows*inner*cols)), "ns/MAC")
+	})
 }
 
-// BenchmarkMatMulParallel measures the kernel at shapes above the
-// parallelism work threshold (2^20 MACs), where the row blocks fan out
-// across GOMAXPROCS. On a single-core host this still shows the
-// register-blocked kernel's win over the seed's naive ikj loop.
+// BenchmarkMatMulInto measures the destination-passing kernel under the work
+// threshold (2^20 MACs), where the portable kernel runs on the calling
+// goroutine: BenchmarkMatMul's mobile-scale shape (the delta between the two
+// is pure allocation/GC overhead) and predict_single's one-row layer.
+// allocs/op here must stay 0.
+func BenchmarkMatMulInto(b *testing.B) {
+	benchMatMulInto(b, 64, 128, 64)
+	benchMatMulInto(b, 1, 64, 64)
+}
+
+// BenchmarkMatMulParallel measures the kernel at shapes at or above the
+// threshold, where the row blocks fan out across GOMAXPROCS and, on amd64
+// with AVX2, the vector kernel runs: three squares and predict_rows' hidden
+// layer. ns/MAC here against BenchmarkMatMulInto's is the vector kernel's
+// gain (about 0.33 against 0.09 on the 2-vCPU box that recorded CHANGES.md).
 func BenchmarkMatMulParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{128, 256, 512} {
-		x := tensor.RandNormal(rng, n, n, 0, 1)
-		w := tensor.RandNormal(rng, n, n, 0, 1)
-		dst := tensor.New(n, n)
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := tensor.MatMulInto(dst, x, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		benchMatMulInto(b, n, n, n)
 	}
+	benchMatMulInto(b, 32, 1024, 1024)
 }
 
 // BenchmarkSparseMatMul measures the pruned-model inference kernel (90%

@@ -83,9 +83,22 @@
 //     until Put and never used afterwards; results returned across an API
 //     boundary are freshly allocated, never pooled, so callers own them
 //     unconditionally. Views (Reshape, RowMatrix) must not be Put.
-//   - Threshold-gated parallelism: the matmul kernels split row blocks
-//     across GOMAXPROCS goroutines only above 2^20 multiply-accumulates;
-//     mobile-scale shapes stay sequential on a register-tiled kernel.
+//   - One work threshold: below 2^20 multiply-accumulates a matmul stays
+//     on the calling goroutine and the portable register-tiled kernel. From
+//     there up, the kernels split row blocks across GOMAXPROCS goroutines
+//     and MatMulInto/MatMulAccInto switch, on amd64 with AVX2 (probed once
+//     from CPUID and XCR0), to a vector kernel that equals the portable
+//     one bit for bit: no FMA, ascending k, the same association order, so
+//     a batch's composition or the core count never changes an answer. It
+//     is gated because 256-bit arithmetic slows the scalar code that runs
+//     after it: used at every shape, the one-row serving benchmark
+//     (predict_single, 4096-MAC matmuls) lost 2.5 % of its throughput in
+//     six of six paired runs — small, and inside that metric's 10 % bound,
+//     but one-sided, and the gate is one comparison. The gate reads the
+//     work, not the worker count, so GOMAXPROCS=1 gets the vector kernel
+//     too. GOAMD64=v3 builds have no vector kernel: there the compiler
+//     fuses the portable kernel's multiply-adds, and the two could not
+//     agree.
 //
 // Consumers follow suit: nn.Dense fuses bias into the matmul destination;
 // nn.GRU reuses its per-step activation cache across calls (making a GRU

@@ -19,11 +19,20 @@ type Activation struct {
 
 var _ Layer = (*Activation)(nil)
 
+// relu is math.Max(0, v) as one comparison: the same bits for every v that is
+// not a NaN (-0 and everything below become +0), and a NaN stays a NaN.
+func relu(v float64) float64 {
+	if v > 0 || v != v {
+		return v
+	}
+	return 0
+}
+
 // NewReLU returns a rectified-linear activation layer.
 func NewReLU() *Activation {
 	return &Activation{
 		name: "relu",
-		fn:   func(v float64) float64 { return math.Max(0, v) },
+		fn:   relu,
 		derivFromY: func(y float64) float64 {
 			if y > 0 {
 				return 1

@@ -223,3 +223,47 @@ func TestNumParams(t *testing.T) {
 		t.Fatalf("NumParams = %d, want 67", n)
 	}
 }
+
+// TestReLUMatchesMathMax: the branch in relu is math.Max(0, v) bit for bit at
+// every edge — NaN, both zeros, both infinities, the smallest denormals.
+func TestReLUMatchesMathMax(t *testing.T) {
+	fn := NewReLU().fn
+	for _, v := range []float64{
+		math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 1, -1,
+	} {
+		got, want := fn(v), math.Max(0, v)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("relu(%v) = %x, math.Max(0, v) = %x", v, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
+// TestBatchedForwardEqualsRowByRow is the serving guarantee that batch
+// composition never changes an answer: a 32-row forward whose first matmul is
+// past tensor's work threshold (fan-out, and the vector kernel where there is
+// one) equals 32 one-row forwards, all under it, bit for bit.
+func TestBatchedForwardEqualsRowByRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	net := NewSequential(NewDense(rng, 128, 512), NewReLU(), NewDense(rng, 512, 10))
+	x := tensor.RandNormal(rng, 32, 128, 0, 1)
+	batched, err := net.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < x.Rows(); i++ {
+		row, err := x.SliceRows(i, i+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := net.Forward(row, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range one.Row(0) {
+			if got := batched.At(i, j); math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("row %d logit %d: batched %x, alone %x", i, j, math.Float64bits(got), math.Float64bits(v))
+			}
+		}
+	}
+}

@@ -5,10 +5,17 @@
 //
 // Hot paths use the destination-passing kernels (MatMulInto and friends in
 // ops_into.go), which write into caller-supplied matrices with zero
-// allocation, together with Pool / Get / Put for recycled scratch. The
-// matmul family parallelizes across row blocks above a fixed work threshold
-// and stays sequential (register-tiled) below it. See the module-level
-// doc.go "Performance conventions" for the ownership rules.
+// allocation, together with Pool / Get / Put for recycled scratch. One work
+// threshold (parallelMinWork, 2^20 multiply-accumulates) makes two decisions
+// for the matmul family. Below it a product runs on the calling goroutine
+// with the portable register-tiled kernel, matMulRange. From it up, row
+// blocks fan out across GOMAXPROCS goroutines, and MatMulInto/MatMulAccInto
+// run the AVX2 range kernel of matmul_amd64.go where the CPU and the OS have
+// it. That kernel equals matMulRange bit for bit — no FMA, each output
+// element's k terms folded in ascending order and in the same association —
+// so which kernel ran, on how many goroutines, never shows in a result. See
+// the module-level doc.go "Performance conventions" for why the vector
+// kernel is gated and for the ownership rules.
 //
 // The package is deliberately self-contained (stdlib only) because the paper
 // assumes a deep-learning substrate (Keras/TensorFlow) that is not available

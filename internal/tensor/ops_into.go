@@ -22,9 +22,10 @@ import (
 //     so mobile-scale shapes never pay goroutine overhead.
 
 // parallelMinWork is the multiply-accumulate count (rows * inner * cols)
-// above which the matmul kernels fan out across row blocks. 2^20 keeps the
-// serving substrate's mobile-scale shapes (64x128 @ 128x64 = 2^19 MACs)
-// sequential while letting 256x256 and larger matmuls use every core.
+// from which the matmul kernels fan out across row blocks and MatMulInto
+// takes the vector range kernel where there is one. 2^20 keeps the serving
+// substrate's mobile-scale shapes (64x128 @ 128x64 = 2^19 MACs) sequential
+// and portable while letting 256x256 and larger matmuls use every core.
 const parallelMinWork = 1 << 20
 
 // matmulWorkers reports how many goroutines a kernel over `rows` rows with
@@ -88,19 +89,26 @@ func matMulInto(dst, a, b *Matrix, acc bool) error {
 	if err := checkDstShape("MatMul", dst, a.rows, b.cols); err != nil {
 		return err
 	}
-	if w := matmulWorkers(a.rows, a.rows*a.cols*b.cols); w > 1 {
-		parallelRows(a.rows, w, func(i0, i1 int) { matMulRange(dst, a, b, i0, i1, acc) })
+	work := a.rows * a.cols * b.cols
+	kernel := matMulRange
+	if hasAVX2 && work >= parallelMinWork {
+		kernel = matMulRangeAVX2
+	}
+	if w := matmulWorkers(a.rows, work); w > 1 {
+		parallelRows(a.rows, w, func(i0, i1 int) { kernel(dst, a, b, i0, i1, acc) })
 	} else {
-		matMulRange(dst, a, b, 0, a.rows, acc)
+		kernel(dst, a, b, 0, a.rows, acc)
 	}
 	return nil
 }
 
-// matMulRange runs the dst rows [i0, i1) of dst = a @ b (+= when acc). The
-// inner kernel is register-tiled 2x4 (two dst rows by four k steps): each
-// loaded panel of four b rows feeds two output rows, halving b traffic, and
-// each pass over a dst row folds in four b rows, quartering dst-row traffic
-// versus the naive ikj loop — while every stream stays contiguous.
+// matMulRange is the portable range kernel, and the reference the vector
+// kernel is tested against: the dst rows [i0, i1) of dst = a @ b (+= when
+// acc). The inner kernel is register-tiled 2x4 (two dst rows by four k
+// steps): each loaded panel of four b rows feeds two output rows, halving b
+// traffic, and each pass over a dst row folds in four b rows, quartering
+// dst-row traffic versus the naive ikj loop — while every stream stays
+// contiguous.
 func matMulRange(dst, a, b *Matrix, i0, i1 int, acc bool) {
 	n, inner := b.cols, a.cols
 	bd := b.data

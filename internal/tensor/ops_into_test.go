@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -76,22 +77,49 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 }
 
 // TestMatMulParallelMatchesSequential pins the row-split path against the
-// single-goroutine kernel at shapes whose row counts do not divide evenly
-// across workers.
+// single-goroutine portable kernel, bit for bit, at shapes whose row counts
+// are odd or do not divide evenly across workers, so that blocks start on odd
+// rows and end on unpaired ones — for the vector range kernel too, where the
+// machine has one.
 func TestMatMulParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, s := range [][3]int{{7, 64, 32}, {13, 50, 11}, {130, 128, 127}, {256, 256, 256}} {
+	kernels := []func(dst, a, b *Matrix, i0, i1 int, acc bool){matMulRange}
+	if hasAVX2 {
+		kernels = append(kernels, matMulRangeAVX2)
+	}
+	for _, s := range [][3]int{{7, 64, 32}, {13, 50, 11}, {33, 70, 21}, {34, 9, 6}, {35, 66, 130}, {130, 128, 127}, {256, 256, 256}} {
 		a := randMat(rng, s[0], s[1])
 		b := randMat(rng, s[1], s[2])
 		seq := New(s[0], s[2])
 		matMulRange(seq, a, b, 0, s[0], false)
 		for _, workers := range []int{2, 3, 5, runtime.GOMAXPROCS(0) + 1} {
-			par := New(s[0], s[2])
-			parallelRows(s[0], workers, func(i0, i1 int) { matMulRange(par, a, b, i0, i1, false) })
-			if !par.Equal(seq, 1e-12) {
-				t.Fatalf("parallel MatMul %v with %d workers diverges", s, workers)
+			for ki, kernel := range kernels {
+				par := New(s[0], s[2])
+				parallelRows(s[0], workers, func(i0, i1 int) { kernel(par, a, b, i0, i1, false) })
+				if !slices.Equal(par.data, seq.data) {
+					t.Fatalf("parallel MatMul %v with %d workers, kernel %d: not bit-equal to sequential", s, workers, ki)
+				}
 			}
 		}
+	}
+}
+
+// TestMatMulIntoZeroAlloc: past the threshold and on one CPU — the path a
+// single-core serving box takes for a full batch — MatMulInto allocates
+// nothing, whichever range kernel the machine selects.
+func TestMatMulIntoZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(12))
+	a := randMat(rng, 16, 1024)
+	b := randMat(rng, 1024, 1024)
+	dst := New(16, 1024)
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := MatMulInto(dst, a, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("MatMulInto 16x1024x1024 on one CPU: %v allocs/op, want 0", allocs)
 	}
 }
 
