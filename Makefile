@@ -84,10 +84,12 @@ tracecheck:
 # Crash-safety drill: the WAL store's full suite (framing, torn-tail
 # recovery, fault injection, compaction crash ordering), the kill-recover
 # matrix against a real registry, coordinator checkpoint/resume, the
-# registry/server degradation seam, and the process-scope restart and
-# shutdown-ordering tests — all under the race detector.
+# registry/server degradation seam, the process-scope restart and
+# shutdown-ordering tests, and the weights/CSR decoders that recovery
+# trusts with on-disk bytes — all under the race detector.
 crashcheck:
 	$(GO) test -race ./internal/store/...
+	$(GO) test -race -run 'Weights|DecodeCSR' ./internal/nn/... ./internal/compress/...
 	$(GO) test -race -run 'Crash|KillRecover|Failpoint|Torn|Degrad|Recover|Resume|Backup|Checkpoint|Restart|Shutdown' \
 		./internal/serve/... ./internal/fedserve/... ./cmd/mobiledlserve/...
 

@@ -69,7 +69,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -581,7 +580,7 @@ func installModels(reg *serve.Registry, sparsity float64, bits int, seed int64, 
 			if err != nil {
 				return err
 			}
-			if _, err := reg.LoadCompressed("mlp-compressed", bytes.NewReader(blob),
+			if _, err := reg.LoadCompressed("mlp-compressed", blob,
 				compress.PipelineConfig{Sparsity: sparsity, Bits: bits, Seed: seed}); err != nil {
 				return err
 			}

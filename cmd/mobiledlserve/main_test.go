@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"mobiledl/internal/nn"
+	"mobiledl/internal/serve"
+	"mobiledl/internal/store"
 )
 
 // proc is one in-process mobiledlserve instance driven through runCtx — the
@@ -226,6 +231,43 @@ func TestRestartResumesFromDataDir(t *testing.T) {
 	getJSON(t, p2.url("/v1/train/status"), &st)
 	if st.StartRound < 1 {
 		t.Fatalf("coordinator resumed at start_round %d after %d trained rounds, want >= 1", st.StartRound, round1)
+	}
+}
+
+// TestRecoverRefusesPreV1DataDir: a data dir whose publish log holds a
+// weights blob from before the v1 format stops the boot with an error that
+// names the cause; the process never listens, so nothing stale is served.
+func TestRecoverRefusesPreV1DataDir(t *testing.T) {
+	old, err := os.ReadFile("../../internal/nn/testdata/weights_gob_2x2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serve.PublishRecord{Model: "fedmlp", Version: 1, Kind: "dense", Weights: old, At: time.Unix(100, 0)}
+	if err := st.AppendPublish(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	testEvent = func(e, d string) {
+		if e == "listen" {
+			t.Errorf("server listened on %s over a pre-v1 data dir", d)
+		}
+	}
+	t.Cleanup(func() { testEvent = nil })
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	err = runCtx(ctx, []string{"-addr", "127.0.0.1:0", "-demo-models=false", "-log-level", "error",
+		"-data-dir", dir, "-train"}, nil)
+	if !errors.Is(err, nn.ErrWeightsFormat) ||
+		!strings.Contains(err.Error(), "weights blob predates format v1 (data dir written by an older build)") {
+		t.Fatalf("boot over a pre-v1 data dir: err = %v, want ErrWeightsFormat naming the format", err)
 	}
 }
 

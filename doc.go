@@ -26,13 +26,14 @@
 // Around the seam, the flow is registry -> batcher -> backend:
 //
 //   - Registry names, versions, and hot-swaps backends. Weights travel as
-//     nn.SaveWeights blobs into Param-bearing backends — Register an
-//     architecture factory and Load blobs into it (LoadCompressed routes
-//     them through the internal/compress Deep Compression pipeline first),
-//     or Install an in-process backend directly (the only path for
-//     parameter-less baselines). Reads are lock-free; swaps take effect at
-//     the next batch boundary, and a bounded version history keeps recently
-//     replaced versions resolvable for version-pinned requests.
+//     nn.EncodeWeights blobs (format in internal/nn/serialize.go) into
+//     Param-bearing backends — Register an architecture factory and Load
+//     blobs into it (LoadCompressed routes them through the
+//     internal/compress Deep Compression pipeline first), or Install an
+//     in-process backend directly (the only path for parameter-less
+//     baselines). Reads are lock-free; swaps take effect at the next batch
+//     boundary, and a bounded version history keeps recently replaced
+//     versions resolvable for version-pinned requests.
 //   - Batcher coalesces single-row requests into tensor batches under a
 //     latency budget: a batch flushes when it reaches MaxBatch rows or
 //     MaxDelay after its first request, whichever comes first, and a worker

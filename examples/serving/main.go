@@ -126,7 +126,7 @@ func run() error {
 
 	// 4. Hot-swap the MLP mid-flight (in-flight batches finish on the old
 	// version, the next batch sees the new one). Models trained out of
-	// process arrive as nn.SaveWeights blobs via Register+Load instead.
+	// process arrive as nn.EncodeWeights blobs via Register+Load instead.
 	retrained, _, err := core.NewMLP(core.MLPSpec{In: 12, Hidden: []int{32, 16}, Classes: 4, Seed: 7})
 	if err != nil {
 		return err

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -80,10 +82,70 @@ func TestCSRMatMulMatchesDense(t *testing.T) {
 	}
 }
 
-func TestDecodeCSRRejectsGarbage(t *testing.T) {
-	if _, err := DecodeCSR([]byte{1, 2, 3}); !errors.Is(err, ErrCompress) {
-		t.Fatalf("want ErrCompress, got %v", err)
+// csrBytes lays out an Encode-format blob from raw fields, valid or not.
+func csrBytes(rows, cols, nnz int32, rowPtr, colIdx []int32, vals []float64) []byte {
+	var buf bytes.Buffer
+	for _, v := range []any{rows, cols, nnz, rowPtr, colIdx, vals} {
+		_ = binary.Write(&buf, binary.LittleEndian, v)
 	}
+	return buf.Bytes()
+}
+
+func TestDecodeCSRRejectsGarbage(t *testing.T) {
+	valid := csrBytes(2, 3, 2, []int32{0, 1, 2}, []int32{2, 0}, []float64{1, 2})
+	if _, err := DecodeCSR(valid); err != nil {
+		t.Fatalf("valid blob: %v", err)
+	}
+	cases := []struct {
+		name string
+		b    []byte
+	}{
+		{"short header", []byte{1, 2, 3}},
+		// rows+1 wrapped in int32 and panicked in make.
+		{"rows 2^31-1", csrBytes(0x7fffffff, 0, 0, nil, nil, nil)},
+		// Allocated about 4 GB of row pointers before reading any.
+		{"rows 2^30", csrBytes(1<<30, 0, 0, nil, nil, nil)},
+		{"negative dims", csrBytes(-1, 3, 0, nil, nil, nil)},
+		{"nnz over rows*cols", csrBytes(1, 1, 2, []int32{0, 2}, []int32{0, 0}, []float64{1, 2})},
+		{"truncated", valid[:len(valid)-1]},
+		{"trailing byte", append(append([]byte(nil), valid...), 0)},
+		{"rowptr starts past 0", csrBytes(2, 3, 2, []int32{1, 1, 2}, []int32{2, 0}, []float64{1, 2})},
+		{"rowptr decreases", csrBytes(3, 3, 2, []int32{0, 2, 1, 2}, []int32{2, 0}, []float64{1, 2})},
+		{"rowptr ends short of nnz", csrBytes(2, 3, 2, []int32{0, 1, 1}, []int32{2, 0}, []float64{1, 2})},
+		{"column past cols", csrBytes(2, 3, 2, []int32{0, 1, 2}, []int32{3, 0}, []float64{1, 2})},
+		{"negative column", csrBytes(2, 3, 2, []int32{0, 1, 2}, []int32{-1, 0}, []float64{1, 2})},
+	}
+	for _, tc := range cases {
+		if _, err := DecodeCSR(tc.b); !errors.Is(err, ErrCompress) {
+			t.Errorf("%s: want ErrCompress, got %v", tc.name, err)
+		}
+	}
+}
+
+// FuzzDecodeCSR: no input panics, and Encode reproduces every accepted
+// input byte for byte. (No ToDense here: a valid header may describe a
+// matrix far larger than its encoding.)
+func FuzzDecodeCSR(f *testing.F) {
+	valid, err := ToCSR(tensor.Identity(3)).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(csrBytes(0x7fffffff, 0, 0, nil, nil, nil))
+	f.Add(csrBytes(1<<30, 0, 0, nil, nil, nil))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := DecodeCSR(b)
+		if err != nil {
+			return
+		}
+		enc, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, b) {
+			t.Fatal("accepted input does not re-encode to itself")
+		}
+	})
 }
 
 func TestPruneMatrixSparsity(t *testing.T) {

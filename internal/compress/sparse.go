@@ -111,22 +111,22 @@ func (c *CSR) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeCSR parses a CSR encoding produced by Encode.
+// DecodeCSR parses a CSR encoding produced by Encode. The header's counts
+// must account for exactly len(b) bytes before anything is allocated, and
+// the row pointers (0 first, non-decreasing, nnz last) and column indices
+// (within cols) are validated, so a hostile header can neither panic nor
+// provoke an allocation larger than its input.
 func DecodeCSR(b []byte) (*CSR, error) {
-	r := bytes.NewReader(b)
-	var rows, cols, nnz int32
-	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	if err := rd(&rows); err != nil {
-		return nil, fmt.Errorf("%w: csr header: %v", ErrCompress, err)
+	le := binary.LittleEndian
+	if len(b) < 12 {
+		return nil, fmt.Errorf("%w: csr header: %d bytes", ErrCompress, len(b))
 	}
-	if err := rd(&cols); err != nil {
-		return nil, fmt.Errorf("%w: csr header: %v", ErrCompress, err)
-	}
-	if err := rd(&nnz); err != nil {
-		return nil, fmt.Errorf("%w: csr header: %v", ErrCompress, err)
-	}
-	if rows < 0 || cols < 0 || nnz < 0 || int64(nnz) > int64(rows)*int64(cols) {
+	rows, cols, nnz := int64(int32(le.Uint32(b))), int64(int32(le.Uint32(b[4:]))), int64(int32(le.Uint32(b[8:])))
+	if rows < 0 || cols < 0 || nnz < 0 || nnz > rows*cols {
 		return nil, fmt.Errorf("%w: csr dims %dx%d nnz %d", ErrCompress, rows, cols, nnz)
+	}
+	if want := 12 + 4*(rows+1) + 12*nnz; int64(len(b)) != want {
+		return nil, fmt.Errorf("%w: csr %dx%d nnz %d needs %d bytes, have %d", ErrCompress, rows, cols, nnz, want, len(b))
 	}
 	c := &CSR{
 		Rows:   int(rows),
@@ -135,14 +135,24 @@ func DecodeCSR(b []byte) (*CSR, error) {
 		ColIdx: make([]int32, nnz),
 		Values: make([]float64, nnz),
 	}
-	if err := rd(c.RowPtr); err != nil {
-		return nil, fmt.Errorf("%w: csr rowptr: %v", ErrCompress, err)
+	r := bytes.NewReader(b[12:])
+	for _, v := range []any{c.RowPtr, c.ColIdx, c.Values} {
+		if err := binary.Read(r, le, v); err != nil {
+			return nil, fmt.Errorf("%w: csr body: %v", ErrCompress, err)
+		}
 	}
-	if err := rd(c.ColIdx); err != nil {
-		return nil, fmt.Errorf("%w: csr colidx: %v", ErrCompress, err)
+	if c.RowPtr[0] != 0 || int64(c.RowPtr[rows]) != nnz {
+		return nil, fmt.Errorf("%w: csr row pointers span [%d, %d], want [0, %d]", ErrCompress, c.RowPtr[0], c.RowPtr[rows], nnz)
 	}
-	if err := rd(c.Values); err != nil {
-		return nil, fmt.Errorf("%w: csr values: %v", ErrCompress, err)
+	for i := 1; i <= c.Rows; i++ {
+		if c.RowPtr[i] < c.RowPtr[i-1] {
+			return nil, fmt.Errorf("%w: csr row pointer %d decreases", ErrCompress, i)
+		}
+	}
+	for _, j := range c.ColIdx {
+		if j < 0 || int64(j) >= cols {
+			return nil, fmt.Errorf("%w: csr column %d outside %d columns", ErrCompress, j, cols)
+		}
 	}
 	return c, nil
 }

@@ -3,6 +3,7 @@ package fedserve
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"time"
 
@@ -70,9 +71,10 @@ func decodeCheckpoint(b []byte) (checkpointWire, error) {
 // resume restores the coordinator from the latest checkpoint in
 // cfg.Checkpoint, if any. A missing checkpoint or an unreadable one starts
 // the run fresh (unreadable is logged and counted — the disk's problem must
-// not stop training); weights that no longer fit the factory's architecture
-// are a hard error, because silently training a fresh model while claiming
-// the checkpoint's round counter would corrupt the run's provenance.
+// not stop training); weights that no longer fit the factory's architecture,
+// or that predate the v1 weights format, are a hard error, because silently
+// training a fresh model while claiming the checkpoint's round counter would
+// corrupt the run's provenance.
 func (c *Coordinator) resume() (bool, error) {
 	payload, ok, err := c.cfg.Checkpoint.LoadCheckpoint(checkpointKey(c.cfg.Model))
 	if err != nil || !ok {
@@ -93,7 +95,11 @@ func (c *Coordinator) resume() (bool, error) {
 	// In-place restore: c.vals aliases the global's parameter tensors, so
 	// decoding into the existing model keeps them aligned.
 	if err := nn.DecodeWeights(c.global, wire.Weights); err != nil {
-		return false, fmt.Errorf("fedserve: checkpoint weights do not fit the configured architecture: %w", err)
+		why := "do not fit the configured architecture"
+		if errors.Is(err, nn.ErrWeightsFormat) {
+			why = "blob predates format v1 (data dir written by an older build)"
+		}
+		return false, fmt.Errorf("fedserve: checkpoint weights %s: %w", why, err)
 	}
 	c.startRound = wire.Round
 	c.status.Round = wire.Round

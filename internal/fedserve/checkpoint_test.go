@@ -2,9 +2,12 @@ package fedserve
 
 import (
 	"errors"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
+	"mobiledl/internal/nn"
 	"mobiledl/internal/serve"
 )
 
@@ -203,6 +206,29 @@ func TestCorruptCheckpointStartsFresh(t *testing.T) {
 	}
 	if st.CheckpointErrors == 0 {
 		t.Fatal("corrupt checkpoint not counted as an error")
+	}
+}
+
+// TestResumeRefusesPreV1Checkpoint: a checkpoint whose weights blob comes
+// from the gob-based format that preceded v1 is a hard boot error naming
+// the cause, not a fresh start and not an architecture mismatch.
+func TestResumeRefusesPreV1Checkpoint(t *testing.T) {
+	old, err := os.ReadFile("../nn/testdata/weights_gob_2x2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodeCheckpoint(checkpointWire{Round: 3, Weights: old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := newTask(t, 4, true)
+	cks := newMemCheckpoints()
+	cks.data[checkpointKey("fedmlp")] = payload
+	cfg := tk.config(serve.NewRegistry(), "fedmlp")
+	cfg.Checkpoint = cks
+	_, err = NewCoordinator(cfg)
+	if !errors.Is(err, nn.ErrWeightsFormat) || !strings.Contains(err.Error(), "predates format v1") {
+		t.Fatalf("NewCoordinator over a pre-v1 checkpoint: err = %v, want ErrWeightsFormat naming the format", err)
 	}
 }
 

@@ -35,8 +35,8 @@ type Backend interface {
 	// is pooled and only valid for the duration of the call.
 	RunBatch(ctx context.Context, env *ExecEnv, batch *tensor.Matrix, opts RequestOptions) (BatchResult, error)
 	// Params returns the backend's trainable parameters in a fixed order —
-	// the unit the registry's weight-blob hot swap (SaveWeights/LoadWeights)
-	// round-trips. Backends without tensor parameters (e.g. tree ensembles)
+	// the unit the registry's weight-blob hot swap (nn.EncodeWeights /
+	// nn.DecodeWeights) round-trips. Backends without tensor parameters (e.g. tree ensembles)
 	// return nil and are Install-only.
 	Params() []*nn.Param
 	// Close releases backend-held resources. The shipped backends hold

@@ -274,7 +274,7 @@ func TestBaselineBackendValidation(t *testing.T) {
 	if err := reg.Register("f", func() (Backend, error) { return b, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load("f", bytes.NewReader(nil)); err == nil {
+	if _, err := reg.Load("f", nil); err == nil {
 		t.Fatal("weight load into a param-less backend must fail")
 	}
 	if _, err := reg.Install("f2", b); err != nil {

@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sort"
 	"sync"
@@ -192,7 +191,10 @@ func (r *Registry) RecoverFrom(st Store) (restored, skipped int, err error) {
 			skipped++
 			continue
 		}
-		if lerr := nn.LoadWeights(bytes.NewReader(rec.Weights), b.Params()); lerr != nil {
+		if lerr := nn.DecodeWeights(b, rec.Weights); lerr != nil {
+			if errors.Is(lerr, nn.ErrWeightsFormat) {
+				lerr = fmt.Errorf("weights blob predates format v1 (data dir written by an older build): %w", lerr)
+			}
 			return restored, skipped, fmt.Errorf("recover %q v%d: %w", rec.Model, rec.Version, lerr)
 		}
 		if ierr := r.installRecovered(e, rec, b); ierr != nil {
@@ -206,37 +208,19 @@ func (r *Registry) RecoverFrom(st Store) (restored, skipped int, err error) {
 // installRecovered re-installs one replayed version under its recorded
 // version number (no store append — the record is already durable). The
 // entry's version counter advances to at least the recovered version so
-// post-recovery installs keep numbering monotonically.
+// post-recovery installs keep numbering monotonically; an already-installed
+// newer version stays current, and the stale record lands in history.
 func (r *Registry) installRecovered(e *regEntry, rec PublishRecord, b Backend) error {
-	info := b.Describe()
-	if info.InputDim <= 0 || info.Classes <= 0 {
-		return fmt.Errorf("%w: recovered backend for %q describes %d inputs, %d classes",
-			ErrServe, rec.Model, info.InputDim, info.Classes)
-	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if cur := e.cur.Load(); cur != nil && cur.Version >= rec.Version {
-		// An already-installed newer (or equal) version wins; the stale
-		// record still lands in history below if there is room.
-		if cur.Info.InputDim != info.InputDim || cur.Info.Classes != info.Classes {
-			return fmt.Errorf("%w: recovered %q v%d changes interface %d->%d inputs, %d->%d classes",
-				ErrServe, rec.Model, rec.Version, cur.Info.InputDim, info.InputDim, cur.Info.Classes, info.Classes)
-		}
-	}
-	if rec.Version > e.version {
-		e.version = rec.Version
-	}
 	l := &Loaded{
-		Name: rec.Model, Version: rec.Version, Backend: b, Info: info,
+		Name: rec.Model, Version: rec.Version, Backend: b, Info: b.Describe(),
 		Meta: rec.Meta, LoadedAt: rec.At,
 	}
-	e.histMu.Lock()
-	e.history[rec.Version] = l
-	delete(e.history, rec.Version-versionHistory)
-	e.histMu.Unlock()
-	if cur := e.cur.Load(); cur == nil || rec.Version > cur.Version {
-		e.cur.Store(l)
+	if err := e.place(l); err != nil {
+		return err
 	}
+	e.version = max(e.version, rec.Version)
 	return nil
 }
 
@@ -266,25 +250,14 @@ func (r *Registry) entry(name string) (*regEntry, error) {
 	return e, nil
 }
 
-// Load builds a fresh backend from the factory, reads a SaveWeights blob
-// into its parameters, and atomically installs it as the new current
+// Load builds a fresh backend from the factory, decodes an nn.EncodeWeights
+// blob into its parameters, and atomically installs it as the new current
 // version. Only Param-bearing backends (dense, cascade) load; in-flight
 // batches keep the version they started with.
-func (r *Registry) Load(name string, weights io.Reader) (int, error) {
-	e, err := r.entry(name)
+func (r *Registry) Load(name string, weights []byte) (int, error) {
+	e, b, err := r.buildLoaded(name, weights)
 	if err != nil {
 		return 0, err
-	}
-	b, err := r.build(e)
-	if err != nil {
-		return 0, err
-	}
-	ps := b.Params()
-	if len(ps) == 0 {
-		return 0, fmt.Errorf("%w: backend %q has no parameters; weight hot swap needs a Param-bearing backend", ErrServe, name)
-	}
-	if err := nn.LoadWeights(weights, ps); err != nil {
-		return 0, fmt.Errorf("serve: load %q: %w", name, err)
 	}
 	return r.install(e, name, b, nil, nil)
 }
@@ -294,12 +267,8 @@ func (r *Registry) Load(name string, weights io.Reader) (int, error) {
 // quantized) network, recording the stage sizes. Only dense backends
 // compress; cascades keep their privacy-calibrated halves intact and
 // baselines have nothing to quantize.
-func (r *Registry) LoadCompressed(name string, weights io.Reader, cfg compress.PipelineConfig) (int, error) {
-	e, err := r.entry(name)
-	if err != nil {
-		return 0, err
-	}
-	b, err := r.build(e)
+func (r *Registry) LoadCompressed(name string, weights []byte, cfg compress.PipelineConfig) (int, error) {
+	e, b, err := r.buildLoaded(name, weights)
 	if err != nil {
 		return 0, err
 	}
@@ -307,9 +276,6 @@ func (r *Registry) LoadCompressed(name string, weights io.Reader, cfg compress.P
 	if !ok {
 		return 0, fmt.Errorf("%w: model %q is a %s backend; compression serves dense models only",
 			ErrServe, name, b.Describe().Kind)
-	}
-	if err := nn.LoadWeights(weights, db.Params()); err != nil {
-		return 0, fmt.Errorf("serve: load %q: %w", name, err)
 	}
 	res, err := compress.RunPipeline(db.Net(), cfg)
 	if err != nil {
@@ -320,6 +286,26 @@ func (r *Registry) LoadCompressed(name string, weights io.Reader, cfg compress.P
 		return 0, err
 	}
 	return r.install(e, name, nb, &res.Sizes, nil)
+}
+
+// buildLoaded builds a fresh backend from name's factory and decodes weights
+// into its parameters, the shared front half of Load and LoadCompressed.
+func (r *Registry) buildLoaded(name string, weights []byte) (*regEntry, Backend, error) {
+	e, err := r.entry(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := r.build(e)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(b.Params()) == 0 {
+		return nil, nil, fmt.Errorf("%w: backend %q has no parameters; weight hot swap needs a Param-bearing backend", ErrServe, name)
+	}
+	if err := nn.DecodeWeights(b, weights); err != nil {
+		return nil, nil, fmt.Errorf("serve: load %q: %w", name, err)
+	}
+	return e, b, nil
 }
 
 // Install registers name on first use (with no factory) and installs an
@@ -481,45 +467,51 @@ func (r *Registry) build(e *regEntry) (Backend, error) {
 	return b, nil
 }
 
-// install atomically publishes a new version. It refuses swaps that change
-// the served interface (input width or class count): the batcher's feature
-// dim is fixed at runtime construction, so such a swap would fail every
-// subsequent request instead of failing the swap.
+// install atomically publishes a new version and persists it.
 func (r *Registry) install(e *regEntry, name string, b Backend, sizes *compress.StageSizes, meta *VersionMeta) (int, error) {
-	info := b.Describe()
-	if info.InputDim <= 0 || info.Classes <= 0 {
-		return 0, fmt.Errorf("%w: backend for %q describes %d inputs, %d classes",
-			ErrServe, name, info.InputDim, info.Classes)
-	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if cur := e.cur.Load(); cur != nil {
-		if cur.Info.InputDim != info.InputDim || cur.Info.Classes != info.Classes {
-			return 0, fmt.Errorf("%w: hot swap for %q changes interface %d->%d inputs, %d->%d classes",
-				ErrServe, name, cur.Info.InputDim, info.InputDim, cur.Info.Classes, info.Classes)
-		}
-	}
-	e.version++
 	l := &Loaded{
-		Name: name, Version: e.version, Backend: b, Info: info,
+		Name: name, Version: e.version + 1, Backend: b, Info: b.Describe(),
 		Sizes: sizes, Meta: meta, LoadedAt: time.Now(),
 	}
-	e.histMu.Lock()
-	if e.history == nil {
-		e.history = make(map[int]*Loaded)
+	if err := e.place(l); err != nil {
+		return 0, err
 	}
-	e.history[e.version] = l
-	// Eviction drops the reference without calling Backend.Close: the
-	// evicted version may still be serving an in-flight batch. Backends
-	// holding real resources are released by Registry.Close at shutdown
-	// (Server.Close calls it).
-	delete(e.history, e.version-versionHistory)
-	e.histMu.Unlock()
-	e.cur.Store(l)
+	e.version = l.Version
 	// Persist after the in-RAM swap, still under writeMu so the store sees
 	// each model's versions in order. A store failure degrades (counted,
 	// surfaced on /healthz) but never unwinds the install: serving hot swaps
 	// must keep working when the disk does not.
 	r.persist(l)
-	return e.version, nil
+	return l.Version, nil
+}
+
+// place records l in the entry's bounded history and makes it current
+// unless a newer version already is; the caller holds writeMu. It refuses
+// versions that change the served interface (input width or class count):
+// the batcher's feature dim is fixed at runtime construction, so such a
+// swap would fail every subsequent request instead of failing the swap.
+func (e *regEntry) place(l *Loaded) error {
+	if l.Info.InputDim <= 0 || l.Info.Classes <= 0 {
+		return fmt.Errorf("%w: backend for %q v%d describes %d inputs, %d classes",
+			ErrServe, l.Name, l.Version, l.Info.InputDim, l.Info.Classes)
+	}
+	cur := e.cur.Load()
+	if cur != nil && (cur.Info.InputDim != l.Info.InputDim || cur.Info.Classes != l.Info.Classes) {
+		return fmt.Errorf("%w: %q v%d changes interface %d->%d inputs, %d->%d classes",
+			ErrServe, l.Name, l.Version, cur.Info.InputDim, l.Info.InputDim, cur.Info.Classes, l.Info.Classes)
+	}
+	e.histMu.Lock()
+	e.history[l.Version] = l
+	// Eviction drops the reference without calling Backend.Close: the
+	// evicted version may still be serving an in-flight batch. Backends
+	// holding real resources are released by Registry.Close at shutdown
+	// (Server.Close calls it).
+	delete(e.history, l.Version-versionHistory)
+	e.histMu.Unlock()
+	if cur == nil || l.Version > cur.Version {
+		e.cur.Store(l)
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -104,7 +103,7 @@ func TestRegistryLoadHotSwapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v1, err := reg.Load("mlp", bytes.NewReader(blob))
+	v1, err := reg.Load("mlp", blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestRegistryLoadHotSwapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := reg.Load("mlp", bytes.NewReader(blob2))
+	v2, err := reg.Load("mlp", blob2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestRegistryLoadHotSwapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load("mlp", bytes.NewReader(ck)); err != nil {
+	if _, err := reg.Load("mlp", ck); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,11 +201,11 @@ func TestRegistryCascadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := nn.SaveWeights(&buf, src.Params()); err != nil {
+	blob, err := nn.EncodeWeights(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load("cascade", &buf); err != nil {
+	if _, err := reg.Load("cascade", blob); err != nil {
 		t.Fatal(err)
 	}
 	got, err := reg.Get("cascade")
@@ -237,7 +236,7 @@ func TestRegistryLoadCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := reg.LoadCompressed("mlp", bytes.NewReader(blob),
+	v, err := reg.LoadCompressed("mlp", blob,
 		compress.PipelineConfig{Sparsity: 0.5, Bits: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -262,11 +261,11 @@ func TestRegistryLoadCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs, _ := cascadeFactory(3)()
-	var buf bytes.Buffer
-	if err := nn.SaveWeights(&buf, cs.Params()); err != nil {
+	csBlob, err := nn.EncodeWeights(cs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.LoadCompressed("cascade", &buf, compress.PipelineConfig{Sparsity: 0.5, Bits: 4}); !errors.Is(err, ErrServe) {
+	if _, err := reg.LoadCompressed("cascade", csBlob, compress.PipelineConfig{Sparsity: 0.5, Bits: 4}); !errors.Is(err, ErrServe) {
 		t.Fatalf("cascade compression: err=%v, want ErrServe", err)
 	}
 }
@@ -282,23 +281,23 @@ func TestRegistryErrors(t *testing.T) {
 	if err := reg.Register("m", mlpFactory(1)); !errors.Is(err, ErrServe) {
 		t.Fatalf("duplicate register: %v", err)
 	}
-	if _, err := reg.Load("nope", bytes.NewReader(nil)); !errors.Is(err, ErrServe) {
+	if _, err := reg.Load("nope", nil); !errors.Is(err, ErrServe) {
 		t.Fatalf("load unknown: %v", err)
 	}
 	// Wrong-architecture blob fails loudly.
 	other, _ := cascadeFactory(1)()
-	var buf bytes.Buffer
-	if err := nn.SaveWeights(&buf, other.Params()); err != nil {
+	blob, err := nn.EncodeWeights(other)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load("m", &buf); err == nil {
+	if _, err := reg.Load("m", blob); err == nil {
 		t.Fatal("mismatched architecture should fail to load")
 	}
 	// Install-only entries have no factory to Load through.
 	if _, err := reg.Install("direct", mustDense(t, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load("direct", bytes.NewReader(nil)); !errors.Is(err, ErrServe) {
+	if _, err := reg.Load("direct", nil); !errors.Is(err, ErrServe) {
 		t.Fatalf("load without factory: %v", err)
 	}
 	if _, err := reg.Install("bad", nil); !errors.Is(err, ErrServe) {

@@ -35,7 +35,7 @@ func TestRuntimeConcurrentLoadWithHotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load("mlp", bytes.NewReader(blob)); err != nil {
+	if _, err := reg.Load("mlp", blob); err != nil {
 		t.Fatal(err)
 	}
 	rt := newPlainRuntime(t, reg, "mlp", BatcherConfig{MaxBatch: 16, MaxDelay: time.Millisecond})

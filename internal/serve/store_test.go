@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -80,7 +81,7 @@ func TestRegistryPersistsParamBearingPublishes(t *testing.T) {
 	}
 	// The blob is the installed version's weights, loadable as-is.
 	b := mustDense(t, 99)
-	if err := nn.LoadWeights(bytes.NewReader(recs[1].Weights), b.Params()); err != nil {
+	if err := nn.DecodeWeights(b, recs[1].Weights); err != nil {
 		t.Fatalf("persisted weights do not load: %v", err)
 	}
 	if reg.StoreStatus() != StoreOK {
@@ -161,6 +162,30 @@ func TestRecoverFromRejectsCorruptWeights(t *testing.T) {
 	reg.SetStore(st)
 	if _, _, err := reg.RecoverFrom(st); err == nil {
 		t.Fatal("RecoverFrom accepted a truncated weights blob")
+	}
+}
+
+// TestRecoverFromRefusesPreV1Weights: a data dir written before the v1
+// weights format fails recovery with nn.ErrWeightsFormat and a message that
+// names the cause, instead of the generic mismatch.
+func TestRecoverFromRefusesPreV1Weights(t *testing.T) {
+	old, err := os.ReadFile("../nn/testdata/weights_gob_2x2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &stubStore{recs: []PublishRecord{
+		{Model: "mlp", Version: 1, Kind: "dense", Weights: old, At: time.Unix(100, 0)},
+	}}
+	reg := NewRegistry()
+	if err := reg.Register("mlp", mlpFactory(50)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = reg.RecoverFrom(st)
+	if !errors.Is(err, nn.ErrWeightsFormat) || !strings.Contains(err.Error(), "predates format v1") {
+		t.Fatalf("RecoverFrom over a pre-v1 blob: err = %v, want ErrWeightsFormat naming the format", err)
+	}
+	if _, err := reg.Get("mlp"); err == nil {
+		t.Fatal("a model was installed from a refused blob")
 	}
 }
 

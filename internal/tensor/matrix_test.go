@@ -1,8 +1,6 @@
 package tensor
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -306,22 +304,6 @@ func TestSVDOrthonormalColumns(t *testing.T) {
 	vtv, _ := TMatMul(res.V, res.V)
 	if !vtv.Equal(Identity(4), 1e-8) {
 		t.Fatalf("V columns not orthonormal: %v", vtv)
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := RandNormal(rng, 3, 4, 0, 1)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		t.Fatal(err)
-	}
-	var got Matrix
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(m, 0) {
-		t.Fatal("gob round trip changed the matrix")
 	}
 }
 
