@@ -65,9 +65,11 @@ analyze:
 		-dir $(CURDIR) -nowallclock.allowlist $(CURDIR)/.nowallclock-allow ./...
 
 # Overload/deadline drill: the admission-control, cancellation, and drain
-# tests under the race detector — the serving runtime's survival story.
+# tests under the race detector — the serving runtime's survival story —
+# plus the batcher's exactly-once property test and the request-budget
+# derivation.
 loadcheck:
-	$(GO) test -race -run 'Overload|Shed|Expired|Abandoned|Drain|QueueFull|RateWindow|Timeout|QuantileEdges|Prom' \
+	$(GO) test -race -run 'Overload|Shed|Expired|Abandoned|Drain|QueueFull|RateWindow|Timeout|QuantileEdges|Prom|ExactlyOnce|Budget' \
 		./internal/serve/... ./internal/metrics/...
 
 # Tracing drill: the tracer package and every instrumented layer under the

@@ -68,7 +68,7 @@ func BenchmarkDeepMood(b *testing.B) { benchExperiment(b, "deepmood") }
 func BenchmarkPairID(b *testing.B) { benchExperiment(b, "pairid") }
 
 // BenchmarkServeThroughput measures requests/sec through the serving
-// runtime (registry -> adaptive batcher -> executor) at max batch sizes
+// runtime (registry -> adaptive batcher -> backend) at max batch sizes
 // 1/8/32 with 64 concurrent clients: the adaptive-batching win is batched
 // throughput (batch32) beating unbatched (batch1) on the same model.
 func BenchmarkServeThroughput(b *testing.B) {

@@ -143,7 +143,6 @@ func runCtx(ctx context.Context, args []string, restoreSignals func()) error {
 	bits := fs.Int("bits", 4, "quantization bits for the compressed model")
 	seed := fs.Int64("seed", 1, "random seed")
 	network := fs.String("network", "wifi", "simulated device link: wifi|lte|offline")
-	sleepNet := fs.Bool("sleepnet", false, "sleep the simulated network latency for wall-clock realism")
 	train := fs.Bool("train", false, "serve a federated train-to-serve loop (fedmlp) with the /v1/train control plane")
 	trainClients := fs.Int("train-clients", 16, "simulated federated clients for -train")
 	trainInterval := fs.Duration("train-interval", 250*time.Millisecond, "pacing between federated rounds for -train")
@@ -264,12 +263,12 @@ func runCtx(ctx context.Context, args []string, restoreSignals func()) error {
 	// when any of its knobs is set; -node-rps alone yields a capacity-gated
 	// solo node (the single-node baseline of the cluster harness).
 	var cl *cluster.Node
-	if *peers != "" || *nodeID != "" || *nodeRPS > 0 {
+	id := *nodeID
+	if *peers != "" || id != "" || *nodeRPS > 0 {
 		adv := *advertiseFlag
 		if adv == "" {
 			adv = advertiseAddr(ln.Addr())
 		}
-		id := *nodeID
 		if id == "" {
 			id = adv
 		}
@@ -331,8 +330,7 @@ func runCtx(ctx context.Context, args []string, restoreSignals func()) error {
 	for _, name := range served {
 		rt, err := serve.NewRuntime(serve.RuntimeConfig{
 			Registry: reg, Model: name, Batch: batch,
-			Net: netw, Seed: *seed, SleepNet: *sleepNet,
-			Logger: logger,
+			Net: netw, Seed: *seed, Logger: logger,
 		})
 		if err != nil {
 			return err
@@ -350,7 +348,7 @@ func runCtx(ctx context.Context, args []string, restoreSignals func()) error {
 		cl.Start()
 		defer cl.Stop()
 		fmt.Printf("cluster node %q gossiping every %s (peers: %q, node-rps %g)\n",
-			*nodeID, *gossipInterval, *peers, *nodeRPS)
+			id, *gossipInterval, *peers, *nodeRPS)
 	}
 
 	for _, info := range reg.Snapshot() {

@@ -40,10 +40,10 @@
 //     pool sized to GOMAXPROCS executes flushed batches. Rows whose
 //     RequestOptions differ are split into uniform sub-batches at flush
 //     time, so a backend always sees one options set per call.
-//   - Executor resolves the requested (current or pinned) version and runs
-//     the batch through that version's Backend under a shared ExecEnv
-//     (device/cloud/network cost model plus the serialized perturbation
-//     RNG).
+//   - Runtime resolves each batch's requested (current or pinned) version
+//     and runs the batch through that version's Backend under a shared
+//     ExecEnv (device/cloud/network cost model plus the serialized
+//     perturbation RNG).
 //
 // Per-request options thread end to end from the HTTP body to RunBatch:
 // top_k (class-probability breakdown), version (registry pin), no_perturb
@@ -104,9 +104,9 @@
 // Consumers follow suit: nn.Dense fuses bias into the matmul destination;
 // nn.GRU reuses its per-step activation cache across calls (making a GRU
 // instance single-goroutine, unlike Dense inference which is stateless and
-// concurrency-safe); the serve batcher and executor pool batch and gather
-// buffers per worker. When adding a hot path, compute into pooled scratch,
-// Put it before returning, and return only fresh matrices. `make
+// concurrency-safe); the serve batcher and cascade backend pool batch and
+// gather buffers per worker. When adding a hot path, compute into pooled
+// scratch, Put it before returning, and return only fresh matrices. `make
 // bench-suite` runs the repository benchmark in bench/ and `make
 // bench-compare` diffs two of its result files, so perf changes stay
 // visible in review.

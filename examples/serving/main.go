@@ -1,7 +1,7 @@
 // Serving quickstart: wrap three model families — a trained MLP, a
 // split/early-exit cascade, and a random-forest baseline — as serving
 // backends in one registry, stand up the concurrent runtime (adaptive
-// batcher + backend executor), fire concurrent requests at the HTTP API,
+// batcher + versioned backends), fire concurrent requests at the HTTP API,
 // hot-swap the MLP mid-flight, pin a request to the old version, and read
 // the stats endpoint — the registry -> batcher -> Backend flow end to end.
 package main

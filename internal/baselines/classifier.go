@@ -7,7 +7,7 @@
 // Every model satisfies the shared Classifier interface (Fit, PredictBatch,
 // Classes, Predict, Name), which is the seam the serving runtime's
 // BaselineBackend adapts: any fitted Classifier can be registered and served
-// through the same batcher/executor path as the neural models.
+// through the same batcher/backend path as the neural models.
 package baselines
 
 import (

@@ -46,12 +46,6 @@ type Config struct {
 	// member is considered dead and dropped from routing (default
 	// 3*GossipInterval).
 	SuspectAfter time.Duration
-	// VNodes is the virtual-node count per member on the ring (default 128).
-	VNodes int
-	// MaxHops caps forwarding chain length: a request arriving with more
-	// than MaxHops recorded hops, or needing to exceed it, is answered 502
-	// (default 2).
-	MaxHops int
 	// LocalRPS, when positive, gates locally served predicts through a token
 	// bucket: beyond it the node sheds 429. This models fixed per-node
 	// serving capacity (and is the gossiped load signal's denominator).
@@ -87,12 +81,6 @@ func (c *Config) fill() error {
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3 * c.GossipInterval
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = defaultVNodes
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 2
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -299,7 +287,7 @@ func (n *Node) candidates(model string, now time.Time) []candidate {
 	}
 	key := strings.Join(ids, "\x00")
 	if n.ring == nil || key != n.ringKey {
-		n.ring = buildRing(ids, n.cfg.VNodes)
+		n.ring = buildRing(ids, defaultVNodes)
 		n.ringKey = key
 	}
 	ordered := n.ring.owners(model, len(byID))

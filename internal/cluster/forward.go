@@ -28,6 +28,10 @@ const (
 // request before the forwarder gives up (a local fallback may still apply).
 const maxForwardAttempts = 2
 
+// maxHops caps forwarding chain length: a request arriving with more than
+// maxHops recorded hops, or needing to exceed it, is answered 502.
+const maxHops = 2
+
 // Handler wraps the serving mux with the cluster's routing layer: it mounts
 // the gossip and state endpoints and intercepts POST /v1/predict — requests
 // for models owned elsewhere are proxied to the owner, everything else
@@ -91,10 +95,10 @@ func (n *Node) routePredict(w http.ResponseWriter, r *http.Request, next http.Ha
 		}
 		hops = v
 	}
-	if hops > n.cfg.MaxHops {
+	if hops > maxHops {
 		n.hopRejects.Add(1)
 		clusterError(w, http.StatusBadGateway,
-			fmt.Errorf("forwarding loop: request exceeded the %d-hop cluster cap", n.cfg.MaxHops))
+			fmt.Errorf("forwarding loop: request exceeded the %d-hop cluster cap", maxHops))
 		return
 	}
 	if n.solo() {
@@ -172,7 +176,7 @@ func (n *Node) routePredict(w http.ResponseWriter, r *http.Request, next http.Ha
 			continue
 		}
 		sawPeer = true
-		if hops >= n.cfg.MaxHops || attempts >= maxForwardAttempts {
+		if hops >= maxHops || attempts >= maxForwardAttempts {
 			continue
 		}
 		attempts++
@@ -188,7 +192,7 @@ func (n *Node) routePredict(w http.ResponseWriter, r *http.Request, next http.Ha
 			sp.EndErr(errors.New("local capacity shed"))
 		}
 		n.shed429(w)
-	case sawPeer && hops >= n.cfg.MaxHops:
+	case sawPeer && hops >= maxHops:
 		// Every holder is remote and the hop budget is spent: a stale ring
 		// has routed the request in a circle. Break the loop.
 		n.hopRejects.Add(1)

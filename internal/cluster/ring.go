@@ -46,9 +46,6 @@ func hashKey(s string) uint64 {
 // rare with 64-bit hashes) break by node id so the ring is deterministic
 // across processes given the same member set.
 func buildRing(nodes []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
 	points := make([]ringPoint, 0, len(nodes)*vnodes)
 	for _, n := range nodes {
 		for v := 0; v < vnodes; v++ {

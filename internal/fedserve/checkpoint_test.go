@@ -240,13 +240,12 @@ func TestCheckpointCadence(t *testing.T) {
 	cfg := tk.config(reg, "fedmlp")
 	cfg.Rounds = 6
 	cfg.Checkpoint = cks
-	cfg.CheckpointEvery = 3
 	st := runToCompletion(t, cfg)
-	// Rounds 3 and 6 are cadence points; the final-round save covers the rest.
-	if st.Checkpoints != 2 {
-		t.Fatalf("Checkpoints = %d with CheckpointEvery=3 over 6 rounds, want 2", st.Checkpoints)
+	// Every round merges updates, so every round is followed by a save.
+	if st.Checkpoints != 6 {
+		t.Fatalf("Checkpoints = %d over 6 merging rounds, want 6", st.Checkpoints)
 	}
-	if cks.saveCount() != 2 {
-		t.Fatalf("store saw %d saves, want 2", cks.saveCount())
+	if cks.saveCount() != 6 {
+		t.Fatalf("store saw %d saves, want 6", cks.saveCount())
 	}
 }

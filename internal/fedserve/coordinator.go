@@ -123,10 +123,8 @@ type Config struct {
 	// counter, accumulated status, privacy spend) so a restarted coordinator
 	// resumes from the last checkpoint instead of round 0. Checkpoint
 	// failures degrade gracefully: training continues, the error is counted.
+	// A checkpoint follows every round that merged updates.
 	Checkpoint CheckpointStore
-	// CheckpointEvery sets the checkpoint cadence in rounds (default 1 =
-	// after every round that merged updates).
-	CheckpointEvery int
 
 	// Tracer, when set, samples coordinator rounds into long-lived traces
 	// (select -> client fan-out -> merge -> eval -> publish). Nil disables
@@ -240,11 +238,9 @@ type Coordinator struct {
 	history         []federated.RoundStats
 
 	// startRound is the checkpointed round this run resumed from (0 fresh);
-	// lastRound bounds the run at startRound+Rounds (0 = unbounded). ckEvery
-	// is the checkpoint cadence in rounds.
+	// lastRound bounds the run at startRound+Rounds (0 = unbounded).
 	startRound int
 	lastRound  int
-	ckEvery    int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -316,10 +312,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 	}
 	c.dpDenom = math.Max(1, q*float64(len(cfg.Shards)))
-	c.ckEvery = cfg.CheckpointEvery
-	if c.ckEvery <= 0 {
-		c.ckEvery = 1
-	}
 	c.status = Status{State: StateIdle, Model: cfg.Model, LastAccuracy: -1, BestAccuracy: -1}
 
 	resumed := false
@@ -514,10 +506,9 @@ func (c *Coordinator) runRound(round int) bool {
 		c.evalAndMaybePublish(round, sp)
 	}
 
-	// Checkpoint on the cadence once training has advanced past the last
-	// durable state; a failed save leaves mergedSinceCk pending so the next
-	// round retries.
-	if c.cfg.Checkpoint != nil && c.mergedSinceCk > 0 && (round%c.ckEvery == 0 || round == c.lastRound) {
+	// Checkpoint once training has advanced past the last durable state; a
+	// failed save leaves mergedSinceCk pending so the next round retries.
+	if c.cfg.Checkpoint != nil && c.mergedSinceCk > 0 {
 		c.checkpoint(round, sp)
 	}
 	sp.End(trace.Num("collected", float64(len(updates))))

@@ -18,17 +18,13 @@ import (
 // Backend is one servable model family behind the batcher: anything that can
 // describe its serving interface and classify a coalesced tensor batch under
 // a simulated execution environment. The registry versions Backends, the
-// batcher feeds them, and the executor stamps environment-level facts
-// (version, simulated sleep) onto their results — so adding a model family
-// to the serving system means implementing this interface and nothing else.
+// batcher feeds them, and the runtime stamps the serving version onto their
+// results — so adding a model family to the serving system means
+// implementing this interface and nothing else.
 type Backend interface {
 	// Describe reports the backend's serving interface and cost-model
 	// workload. It must be constant for the backend's lifetime.
 	Describe() BackendInfo
-	// InputDim returns the feature width of one request row (equal to
-	// Describe().InputDim; a direct method because the batcher sizes its
-	// buffers off it on every construction).
-	InputDim() int
 	// RunBatch classifies one coalesced batch under the environment env and
 	// the request options opts (identical for every row — the batcher groups
 	// rows by execution-relevant options before calling). The batch matrix
@@ -85,7 +81,7 @@ func validateOptions(o RequestOptions) error {
 type BatchResult struct {
 	// Results holds one entry per batch row, in row order. The backend
 	// fills the model-level fields (Class, Probs, Local, Placement,
-	// SimNetMs); the executor and batcher stamp the serving-level ones
+	// SimNetMs); the runtime and batcher stamp the serving-level ones
 	// (ModelVersion, BatchSize, QueueMs, ExecMs).
 	Results []Result
 }
@@ -196,9 +192,6 @@ func (b *DenseBackend) Net() *nn.Sequential { return b.net }
 // Describe implements Backend.
 func (b *DenseBackend) Describe() BackendInfo { return b.info }
 
-// InputDim implements Backend.
-func (b *DenseBackend) InputDim() int { return b.info.InputDim }
-
 // Params implements Backend.
 func (b *DenseBackend) Params() []*nn.Param { return b.net.Params() }
 
@@ -282,9 +275,6 @@ func (b *CascadeBackend) Cascade() *split.EarlyExit { return b.cascade }
 
 // Describe implements Backend.
 func (b *CascadeBackend) Describe() BackendInfo { return b.info }
-
-// InputDim implements Backend.
-func (b *CascadeBackend) InputDim() int { return b.info.InputDim }
 
 // Params implements Backend in the fixed order local, cloud, exit.
 func (b *CascadeBackend) Params() []*nn.Param { return cascadeParams(b.cascade) }
@@ -454,9 +444,6 @@ func NewBaselineBackend(clf baselines.Classifier, inputDim int) (*BaselineBacken
 
 // Describe implements Backend.
 func (b *BaselineBackend) Describe() BackendInfo { return b.info }
-
-// InputDim implements Backend.
-func (b *BaselineBackend) InputDim() int { return b.info.InputDim }
 
 // Params implements Backend: baselines carry no tensor parameters.
 func (b *BaselineBackend) Params() []*nn.Param { return nil }

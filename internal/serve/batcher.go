@@ -63,7 +63,7 @@ func (c *BatcherConfig) fill() {
 // ExecFunc runs one coalesced tensor batch under uniform request options and
 // returns one Result per row. The batch matrix is pooled: it is only valid
 // for the duration of the call and must not be retained (or returned) by the
-// executor. The context is cancelled when the batcher closes or when every
+// function. The context is cancelled when the batcher closes or when every
 // submitter in the batch has abandoned its request — a backend that honors
 // it stops computing answers nobody will read.
 type ExecFunc func(ctx context.Context, batch *tensor.Matrix, opts RequestOptions) ([]Result, error)
@@ -425,7 +425,7 @@ func (b *Batcher) execGroup(reqs []*request) {
 
 	start := time.Now()
 	ctx, release := b.groupContext(reqs)
-	// Traced batches get a BatchLog for the executor and backend to record
+	// Traced batches get a BatchLog for the exec func and backend to record
 	// child spans into; the common untraced batch pays one Active() check
 	// per row and allocates nothing.
 	var blog *trace.BatchLog
@@ -446,7 +446,7 @@ func (b *Batcher) execGroup(reqs []*request) {
 	release()
 	tensor.Put(batch)
 	if err == nil && len(results) != len(reqs) {
-		err = fmt.Errorf("%w: executor returned %d results for %d rows", ErrServe, len(results), len(reqs))
+		err = fmt.Errorf("%w: exec returned %d results for %d rows", ErrServe, len(results), len(reqs))
 	}
 	execMs := float64(time.Since(start).Microseconds()) / 1000
 	if b.stats != nil {

@@ -3,6 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,4 +278,124 @@ func TestBatcherContextCancel(t *testing.T) {
 	}
 	close(block)
 	b.Close()
+}
+
+// Per-row exec behaviours of TestBatcherAnswersExactlyOnce, carried in the
+// row's second feature; the first row of a batch decides for the batch.
+const (
+	rowEcho  = 0 // answer each row's first feature as its class
+	rowFail  = 1 // fail the batch with the injected error
+	rowBlock = 2 // block until the exec context is done, then fail
+)
+
+// TestBatcherAnswersExactlyOnce states the batcher's answer guarantee as a
+// property. Each seed draws a batching and admission config, then races
+// submitters with mixed options and contexts (background, cancelled after a
+// random delay, short deadline) against an exec that echoes, fails, or
+// blocks until its context is done, and closes the batcher at a random
+// point. Every Submit must return exactly one allowed outcome: its own
+// echoed class, a shed or closed refusal, its own context error, or the
+// injected error. After Close no admitted request may stay unanswered or be
+// answered twice (Inflight is 0), and no goroutine may outlive the batcher.
+func TestBatcherAnswersExactlyOnce(t *testing.T) {
+	leakcheck.Check(t)
+	errInjected := errors.New("injected exec failure")
+	exec := func(ctx context.Context, batch *tensor.Matrix, _ RequestOptions) ([]Result, error) {
+		switch int(batch.At(0, 1)) {
+		case rowFail:
+			return nil, errInjected
+		case rowBlock:
+			<-ctx.Done()
+			return nil, fmt.Errorf("%w: %w", errInjected, ctx.Err())
+		}
+		out := make([]Result, batch.Rows())
+		for i := range out {
+			out[i].Class = int(batch.At(i, 0))
+		}
+		return out, nil
+	}
+	const submitters = 32
+	for seed := int64(1); seed <= 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := BatcherConfig{
+			MaxBatch:    1 + rng.Intn(8),
+			MaxDelay:    time.Duration(50+rng.Intn(500)) * time.Microsecond,
+			Workers:     1 + rng.Intn(3),
+			QueueCap:    1 + rng.Intn(16),
+			MaxInflight: -1,
+		}
+		if rng.Intn(2) == 0 {
+			cfg.MaxInflight = 1 + rng.Intn(16)
+		}
+		b, err := NewBatcher(2, cfg, exec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+		// Draw every submitter's plan up front: rng is not goroutine-safe.
+		type plan struct {
+			start, ctxAfter time.Duration
+			ctxKind, row    int
+			opts            RequestOptions
+		}
+		plans := make([]plan, submitters)
+		for i := range plans {
+			p := &plans[i]
+			p.start = time.Duration(rng.Intn(1500)) * time.Microsecond
+			p.ctxKind = rng.Intn(3) // background, cancel, deadline
+			p.ctxAfter = time.Duration(rng.Intn(1000)) * time.Microsecond
+			p.opts = RequestOptions{TopK: rng.Intn(3)}
+			switch r := rng.Intn(10); {
+			case r < 7:
+				p.row = rowEcho
+			case r < 9:
+				p.row = rowFail
+			default:
+				p.row = rowBlock
+			}
+		}
+		closeAfter := time.Duration(rng.Intn(2000)) * time.Microsecond
+
+		var wg sync.WaitGroup
+		bad := make(chan string, submitters)
+		for i, p := range plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				time.Sleep(p.start)
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				switch p.ctxKind {
+				case 1:
+					ctx, cancel = context.WithCancel(ctx)
+					timer := time.AfterFunc(p.ctxAfter, cancel)
+					defer timer.Stop()
+				case 2:
+					ctx, cancel = context.WithTimeout(ctx, p.ctxAfter)
+				}
+				defer cancel()
+				res, err := b.Submit(ctx, []float64{float64(i), float64(p.row)}, p.opts)
+				switch {
+				case err == nil:
+					if res.Class != i {
+						bad <- fmt.Sprintf("submitter %d got class %d", i, res.Class)
+					}
+				case errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed), errors.Is(err, errInjected):
+				case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+				default:
+					bad <- fmt.Sprintf("submitter %d (ctx kind %d): unexpected error %v", i, p.ctxKind, err)
+				}
+			}()
+		}
+		time.Sleep(closeAfter)
+		b.Close()
+		if n := b.Inflight(); n != 0 {
+			t.Fatalf("seed %d: Inflight() = %d after Close, want 0", seed, n)
+		}
+		wg.Wait()
+		close(bad)
+		for msg := range bad {
+			t.Errorf("seed %d %+v: %s", seed, cfg, msg)
+		}
+	}
 }

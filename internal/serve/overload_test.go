@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -289,7 +290,6 @@ type blockBackend struct {
 func (bb *blockBackend) Describe() BackendInfo {
 	return BackendInfo{Kind: "dense", Algorithm: "block", InputDim: bb.dim, Classes: 2}
 }
-func (bb *blockBackend) InputDim() int { return bb.dim }
 func (bb *blockBackend) RunBatch(ctx context.Context, _ *ExecEnv, batch *tensor.Matrix, _ RequestOptions) (BatchResult, error) {
 	select {
 	case <-bb.gate:
@@ -422,6 +422,29 @@ func TestServerNegativeTimeoutIs400(t *testing.T) {
 	resp, _ := postPredict(t, ts, body)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative timeout_ms returned %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRequestBudget pins the deadline derivation: no timeout_ms inherits the
+// server default, an ask is honored up to the 30 s cap, and an ask too large
+// for a Duration in nanoseconds is capped rather than overflowing into a
+// negative (no deadline) or tiny budget.
+func TestRequestBudget(t *testing.T) {
+	const def = 200 * time.Millisecond
+	for _, c := range []struct {
+		ms   int
+		want time.Duration
+	}{
+		{0, def},
+		{250, 250 * time.Millisecond},
+		{30_000, 30 * time.Second},
+		{10_000_000_000_000, 30 * time.Second},
+		{18446744073710, 30 * time.Second},
+		{math.MaxInt, 30 * time.Second},
+	} {
+		if got := requestBudget(def, c.ms); got != c.want {
+			t.Errorf("timeout_ms %d: budget %v, want %v", c.ms, got, c.want)
+		}
 	}
 }
 

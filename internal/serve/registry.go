@@ -19,10 +19,11 @@ import (
 // architecture fails loudly at load time.
 type Factory func() (Backend, error)
 
-// versionHistory is how many versions (including the current one) each
+// VersionHistory is how many versions (including the current one) each
 // registry entry retains, so requests pinned to a recent version keep
-// resolving across hot swaps.
-const versionHistory = 4
+// resolving across hot swaps. A Store keeps the same publish history across
+// compactions, so every pinnable version also survives a restart.
+const VersionHistory = 4
 
 // VersionMeta is optional training provenance attached to an installed
 // version — which producer published it, after which training round, at what
@@ -76,7 +77,7 @@ type regEntry struct {
 	cur     atomic.Pointer[Loaded]
 
 	histMu  sync.RWMutex
-	history map[int]*Loaded // last versionHistory versions, incl. current
+	history map[int]*Loaded // last VersionHistory versions, incl. current
 }
 
 // Registry names, versions, and hot-swaps serving backends. Register/Load/
@@ -367,7 +368,7 @@ func (r *Registry) GetVersion(name string, version int) (*Loaded, error) {
 	e.histMu.RUnlock()
 	if l == nil {
 		return nil, fmt.Errorf("%w: model %q has no version %d (the registry retains the last %d)",
-			ErrRequest, name, version, versionHistory)
+			ErrRequest, name, version, VersionHistory)
 	}
 	return l, nil
 }
@@ -508,7 +509,7 @@ func (e *regEntry) place(l *Loaded) error {
 	// evicted version may still be serving an in-flight batch. Backends
 	// holding real resources are released by Registry.Close at shutdown
 	// (Server.Close calls it).
-	delete(e.history, l.Version-versionHistory)
+	delete(e.history, l.Version-VersionHistory)
 	e.histMu.Unlock()
 	if cur == nil || l.Version > cur.Version {
 		e.cur.Store(l)

@@ -158,7 +158,7 @@ func TestRegistryLoadHotSwapRoundTrip(t *testing.T) {
 
 func TestRegistryVersionHistory(t *testing.T) {
 	reg := NewRegistry()
-	for i := 0; i < versionHistory+2; i++ {
+	for i := 0; i < VersionHistory+2; i++ {
 		if _, err := reg.Install("m", mustDense(t, int64(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -167,15 +167,15 @@ func TestRegistryVersionHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur.Version != versionHistory+2 {
-		t.Fatalf("current version %d, want %d", cur.Version, versionHistory+2)
+	if cur.Version != VersionHistory+2 {
+		t.Fatalf("current version %d, want %d", cur.Version, VersionHistory+2)
 	}
 	// Version 0 resolves to current.
 	if l, err := reg.GetVersion("m", 0); err != nil || l.Version != cur.Version {
 		t.Fatalf("GetVersion 0: %v, v%d", err, l.Version)
 	}
-	// The last versionHistory versions stay pinned.
-	for v := cur.Version - versionHistory + 1; v <= cur.Version; v++ {
+	// The last VersionHistory versions stay pinned.
+	for v := cur.Version - VersionHistory + 1; v <= cur.Version; v++ {
 		l, err := reg.GetVersion("m", v)
 		if err != nil {
 			t.Fatalf("retained version %d: %v", v, err)

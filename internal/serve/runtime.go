@@ -8,6 +8,7 @@ import (
 
 	"mobiledl/internal/metrics"
 	"mobiledl/internal/mobile"
+	"mobiledl/internal/tensor"
 	"mobiledl/internal/trace"
 )
 
@@ -19,13 +20,11 @@ type RuntimeConfig struct {
 	Model    string
 	// Batch tunes the adaptive batcher.
 	Batch BatcherConfig
-	// Device, Cloud, Net, Seed, and SleepNet parameterize the executor's
-	// simulated environment (zero values take executor defaults).
-	Device   mobile.Device
-	Cloud    mobile.Device
-	Net      mobile.Network
-	Seed     int64
-	SleepNet bool
+	// Net is the simulated device<->cloud link (zero value: WiFi) and Seed
+	// seeds the perturbation RNG for offloaded cascade rows. The device and
+	// cloud take NewExecEnv's defaults.
+	Net  mobile.Network
+	Seed int64
 	// Tracer, when set, samples predict calls into traces (nil disables
 	// tracing at near-zero cost). Requests arriving with a span already in
 	// ctx (the HTTP layer's traceparent path) are traced regardless.
@@ -35,18 +34,16 @@ type RuntimeConfig struct {
 	Logger *slog.Logger
 }
 
-// Runtime is the served form of one model: an executor fed by an adaptive
-// batcher, resolving the registry's current (or a pinned) version at every
-// batch boundary so hot swaps apply without a restart.
+// Runtime is the served form of one model: an adaptive batcher feeding the
+// model's Backend, resolving the registry's current (or a pinned) version at
+// every batch boundary so hot swaps apply without a restart.
 type Runtime struct {
-	name     string
-	reg      *Registry
-	batcher  *Batcher
-	exec     *Executor
-	stats    *collector
-	maxBatch int
-	sleepNet bool
-	tracer   *trace.Tracer
+	name    string
+	reg     *Registry
+	env     *ExecEnv
+	batcher *Batcher
+	stats   *collector
+	tracer  *trace.Tracer
 }
 
 // NewRuntime builds and starts a runtime (its worker pool runs until Close).
@@ -58,34 +55,46 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec, err := NewExecutor(ExecutorConfig{
-		Source:   func(version int) (*Loaded, error) { return cfg.Registry.GetVersion(cfg.Model, version) },
-		Device:   cfg.Device,
-		Cloud:    cfg.Cloud,
-		Net:      cfg.Net,
-		Seed:     cfg.Seed,
-		SleepNet: cfg.SleepNet,
-	})
+	rt := &Runtime{
+		name:   cfg.Model,
+		reg:    cfg.Registry,
+		env:    NewExecEnv(mobile.Device{}, mobile.Device{}, cfg.Net, cfg.Seed),
+		stats:  newCollector(),
+		tracer: cfg.Tracer,
+	}
+	rt.batcher, err = NewBatcher(loaded.Info.InputDim, cfg.Batch, rt.execute, rt.stats)
 	if err != nil {
 		return nil, err
 	}
-	stats := newCollector()
-	batcher, err := NewBatcher(loaded.Info.InputDim, cfg.Batch, exec.Execute, stats)
+	rt.batcher.logger = cfg.Logger
+	rt.batcher.model = cfg.Model
+	return rt, nil
+}
+
+// execute implements ExecFunc: it resolves the batch's model version (0 is
+// the current one, so hot swaps take effect at the next batch boundary; a
+// pin must still be retained by the registry), runs the version's Backend
+// under the runtime's ExecEnv, and stamps the version onto the results.
+func (rt *Runtime) execute(ctx context.Context, batch *tensor.Matrix, opts RequestOptions) ([]Result, error) {
+	loaded, err := rt.reg.GetVersion(rt.name, opts.Version)
 	if err != nil {
 		return nil, err
 	}
-	batcher.logger = cfg.Logger
-	batcher.model = cfg.Model
-	return &Runtime{
-		name:     cfg.Model,
-		reg:      cfg.Registry,
-		batcher:  batcher,
-		exec:     exec,
-		stats:    stats,
-		maxBatch: batcher.cfg.MaxBatch,
-		sleepNet: cfg.SleepNet,
-		tracer:   cfg.Tracer,
-	}, nil
+	// Traced batches carry a BatchLog in ctx; the exec record wraps the
+	// backend call and parents whatever child records the backend emits.
+	bl := trace.LogFrom(ctx)
+	sp := bl.Begin("exec")
+	br, err := loaded.Backend.RunBatch(ctx, rt.env, batch, opts)
+	bl.EndErr(sp, err,
+		trace.Num("model_version", float64(loaded.Version)),
+		trace.Num("rows", float64(batch.Rows())))
+	if err != nil {
+		return nil, err
+	}
+	for i := range br.Results {
+		br.Results[i].ModelVersion = loaded.Version
+	}
+	return br.Results, nil
 }
 
 // Name returns the served model's registry name.
@@ -97,9 +106,8 @@ func (rt *Runtime) Predict(ctx context.Context, features []float64) (Result, err
 }
 
 // PredictWith serves one feature row under explicit request options through
-// the batcher and executor, recording end-to-end latency. The modeled
-// network time is added on top of the measured wall time unless the
-// executor already slept it.
+// the batcher and backend, recording end-to-end latency: the measured wall
+// time plus the modeled network time.
 //
 // Tracing: a span already in ctx (the HTTP layer's per-request root) rides
 // into the batcher; otherwise the runtime's tracer head-samples and, on a
@@ -125,11 +133,7 @@ func (rt *Runtime) PredictWith(ctx context.Context, features []float64, opts Req
 		}
 		return Result{}, err
 	}
-	totalMs := float64(time.Since(start).Microseconds()) / 1000
-	if !rt.sleepNet {
-		totalMs += res.SimNetMs
-	}
-	rt.stats.recordRequest(totalMs)
+	rt.stats.recordRequest(float64(time.Since(start).Microseconds())/1000 + res.SimNetMs)
 	if sp.Active() {
 		qd := time.Duration(res.QueueMs * float64(time.Millisecond))
 		ed := time.Duration(res.ExecMs * float64(time.Millisecond))
@@ -147,13 +151,13 @@ func (rt *Runtime) PredictWith(ctx context.Context, features []float64, opts Req
 
 // Stats snapshots the runtime's serving counters.
 func (rt *Runtime) Stats() Stats {
-	return rt.stats.snapshot(rt.maxBatch, rt.batcher.Inflight(), rt.batcher.QueueDepth())
+	return rt.stats.snapshot(rt.batcher.cfg.MaxBatch, rt.batcher.Inflight(), rt.batcher.QueueDepth())
 }
 
 // WriteMetrics renders the runtime's counters as Prometheus series labeled
 // with the model name — one model's slice of the /metrics payload.
 func (rt *Runtime) WriteMetrics(w *metrics.PromWriter) {
-	rt.stats.writeProm(w, rt.name, rt.maxBatch, rt.batcher.Inflight(), rt.batcher.QueueDepth())
+	rt.stats.writeProm(w, rt.name, rt.batcher.cfg.MaxBatch, rt.batcher.Inflight(), rt.batcher.QueueDepth())
 }
 
 // Close drains in-flight requests and stops the worker pool.

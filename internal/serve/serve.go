@@ -19,8 +19,8 @@
 // blobs move via internal/nn serialization into Param-bearing backends; a
 // bounded version history keeps pinned versions resolvable), an adaptive
 // Batcher that coalesces requests into tensor batches under a latency
-// budget — grouping rows by execution-relevant RequestOptions — and an
-// Executor that resolves the (possibly pinned) model version per batch and
+// budget — grouping rows by execution-relevant RequestOptions — and a
+// Runtime that resolves the (possibly pinned) model version per batch and
 // hands it to the backend. Per-request options (top_k probabilities,
 // version pin, no_perturb) thread from the HTTP layer through the batcher
 // into Backend.RunBatch.
@@ -32,7 +32,7 @@
 // admission (QueueCap, MaxInflight) sheds with ErrOverloaded rather than
 // queueing doomed work.
 //
-// A Runtime wires registry, batcher, and executor together for one
+// A Runtime wires registry, batcher, and backend together for one
 // registered model; Server exposes any number of runtimes over HTTP/JSON
 // (POST /v1/predict, GET /v1/stats, GET /v1/models, GET /metrics) with
 // p50/p99 latency, sliding-window throughput, shed/expired/error counts,
@@ -83,7 +83,7 @@ type Result struct {
 	BatchSize int
 	// QueueMs is time spent waiting for the batch to form.
 	QueueMs float64
-	// ExecMs is compute time inside the executor.
+	// ExecMs is compute time inside the batch's exec call.
 	ExecMs float64
 	// SimNetMs is the modeled device<->cloud transfer latency for this row
 	// (zero for rows answered locally).

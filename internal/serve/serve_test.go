@@ -14,6 +14,7 @@ import (
 
 	"mobiledl/internal/mobile"
 	"mobiledl/internal/nn"
+	"mobiledl/internal/tensor"
 )
 
 func newPlainRuntime(t *testing.T, reg *Registry, name string, batch BatcherConfig) *Runtime {
@@ -327,7 +328,7 @@ func TestHotSwapRejectsInterfaceChange(t *testing.T) {
 
 func TestPlainPlacementFollowsCostModel(t *testing.T) {
 	// A big model on a slow device offloads to the cloud; verify the
-	// executor both picks that placement and bills the simulated transfer.
+	// backend both picks that placement and bills the simulated transfer.
 	rng := rand.New(rand.NewSource(2))
 	big, err := NewDenseBackend(nn.NewSequential(
 		nn.NewDense(rng, 8, 512), nn.NewReLU(),
@@ -337,26 +338,14 @@ func TestPlainPlacementFollowsCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
-	if _, err := reg.Install("big", big); err != nil {
-		t.Fatal(err)
-	}
 	slow := mobile.MidrangePhone()
 	slow.MACsPerSec = 1e6 // pathological device: cloud always wins
-	rt, err := NewRuntime(RuntimeConfig{
-		Registry: reg, Model: "big",
-		Batch:  BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
-		Device: slow,
-	})
+	env := NewExecEnv(slow, mobile.Device{}, mobile.Network{}, 1)
+	br, err := big.RunBatch(context.Background(), env, tensor.New(1, 8), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
-	res, err := rt.Predict(context.Background(), make([]float64, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Placement != mobile.PlaceCloud || res.SimNetMs <= 0 {
+	if res := br.Results[0]; res.Placement != mobile.PlaceCloud || res.SimNetMs <= 0 {
 		t.Fatalf("slow device should offload to cloud with traffic: %+v", res)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,8 +21,8 @@ import (
 	"mobiledl/internal/wire"
 )
 
-// ServerConfig tunes HTTP-level serving policy: the per-request compute
-// budget and the overload response.
+// ServerConfig tunes HTTP-level serving policy: the default per-request
+// compute budget, tracing, logging, and cluster health reporting.
 type ServerConfig struct {
 	// DefaultTimeout is the deadline budget applied to every /v1/predict
 	// request that does not carry its own timeout_ms (0 = no server-side
@@ -31,11 +30,6 @@ type ServerConfig struct {
 	// a request that outlives its budget is answered 504 and pruned before
 	// it costs a backend execution.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested timeout_ms (default 30s) so a
-	// client cannot pin a batch slot indefinitely.
-	MaxTimeout time.Duration
-	// RetryAfter is the hint sent with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// Tracer, when set, traces predict requests: inbound W3C traceparent
 	// headers with the sampled flag always trace (joined to the caller's
 	// trace id), other requests are head-sampled at the tracer's rate.
@@ -51,13 +45,23 @@ type ServerConfig struct {
 	ClusterStatus func() string
 }
 
-func (c *ServerConfig) fill() {
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
+// maxTimeout caps a client-requested timeout_ms so a client cannot pin a
+// batch slot indefinitely.
+const maxTimeout = 30 * time.Second
+
+// requestBudget derives one request's deadline budget: the client's
+// timeout_ms if sent, capped at maxTimeout, else the server's default. The
+// cap is applied in milliseconds, before the conversion to a Duration that
+// would overflow for huge asks. Only the client's ask is capped; the
+// operator-configured default is taken at face value.
+func requestBudget(def time.Duration, timeoutMs int) time.Duration {
+	if timeoutMs <= 0 {
+		return def
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
+	if timeoutMs >= int(maxTimeout/time.Millisecond) {
+		return maxTimeout
 	}
+	return time.Duration(timeoutMs) * time.Millisecond
 }
 
 // Server exposes one or more runtimes over HTTP/JSON:
@@ -98,7 +102,6 @@ func NewServer(reg *Registry) *Server {
 
 // NewServerWith wraps a registry under an explicit serving policy.
 func NewServerWith(reg *Registry, cfg ServerConfig) *Server {
-	cfg.fill()
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -296,20 +299,10 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request, sc *predictScra
 			trace.Num("decode_us", float64(time.Since(began).Microseconds())))
 	}
 
-	// Derive the request deadline: the client's timeout_ms if sent (capped),
-	// else the server's default budget. The context rides every row through
-	// the batcher, so an expired request is pruned instead of executed.
+	// The deadline context rides every row through the batcher, so an
+	// expired request is pruned instead of executed.
 	ctx := r.Context()
-	budget := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		// MaxTimeout caps only the client's ask; the operator-configured
-		// default is taken at face value.
-		budget = time.Duration(req.TimeoutMs) * time.Millisecond
-		if budget > s.cfg.MaxTimeout {
-			budget = s.cfg.MaxTimeout
-		}
-	}
-	if budget > 0 {
+	if budget := requestBudget(s.cfg.DefaultTimeout, req.TimeoutMs); budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
@@ -337,8 +330,8 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request, sc *predictScra
 			case errors.Is(err, ErrRequest):
 				status = http.StatusBadRequest
 			case errors.Is(err, ErrOverloaded):
-				w.Header().Set("Retry-After",
-					strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+				// The same fixed hint cluster nodes send with their own 429s.
+				w.Header().Set("Retry-After", "1")
 				status = http.StatusTooManyRequests
 			case errors.Is(err, ErrClosed):
 				status = http.StatusServiceUnavailable

@@ -79,7 +79,7 @@ type collector struct {
 	// shed counts requests refused at admission (ErrOverloaded); expired
 	// counts admitted requests answered with their own context error
 	// instead of a backend execution; errors counts rows that saw an
-	// executor/backend failure.
+	// exec/backend failure.
 	shed    atomic.Uint64
 	expired atomic.Uint64
 	errors  atomic.Uint64
@@ -91,7 +91,7 @@ type collector struct {
 
 	latency *metrics.LatencyRecorder // end-to-end, recorded by the runtime
 	queue   *metrics.LatencyRecorder // time waiting for a batch to form
-	exec    *metrics.LatencyRecorder // compute inside the executor
+	exec    *metrics.LatencyRecorder // compute inside the exec func
 }
 
 func newCollector() *collector {
@@ -147,7 +147,7 @@ type Stats struct {
 	// answered ErrOverloaded / HTTP 429). Expired counts admitted requests
 	// whose caller's deadline passed before execution — answered with the
 	// context error and never run. Errors counts rows that saw an
-	// executor/backend failure.
+	// exec/backend failure.
 	Shed    uint64 `json:"shed"`
 	Expired uint64 `json:"expired"`
 	Errors  uint64 `json:"errors"`
@@ -223,7 +223,7 @@ func (c *collector) writeProm(w *metrics.PromWriter, model string, maxBatch int,
 	w.Counter("mobiledl_requests_total", "Requests answered successfully.", float64(s.Requests), ml)
 	w.Counter("mobiledl_requests_shed_total", "Requests refused at admission (queue or inflight cap full).", float64(s.Shed), ml)
 	w.Counter("mobiledl_requests_expired_total", "Admitted requests whose deadline passed before execution.", float64(s.Expired), ml)
-	w.Counter("mobiledl_request_errors_total", "Rows that saw an executor or backend failure.", float64(s.Errors), ml)
+	w.Counter("mobiledl_request_errors_total", "Rows that saw an exec or backend failure.", float64(s.Errors), ml)
 	w.Counter("mobiledl_batches_total", "Coalesced batches executed.", float64(s.Batches), ml)
 	w.Counter("mobiledl_batch_rows_total", "Rows executed across all batches.", float64(c.batchedReq.Load()), ml)
 	w.Counter("mobiledl_local_exits_total", "Rows answered by the on-device early exit.", float64(s.LocalExits), ml)

@@ -45,7 +45,7 @@ func findSpan(td *trace.TraceData, name string) (trace.SpanData, bool) {
 // under -race this is also the proof that span materialization never races
 // the batcher's workers.
 func TestTraceIntegrityConcurrentMixedOptions(t *testing.T) {
-	tracer := trace.New(trace.Config{Sample: 1, Recent: 128})
+	tracer := trace.New(trace.Config{Sample: 1})
 	reg := NewRegistry()
 	if _, err := reg.Install("mlp", mustDense(t, 1)); err != nil {
 		t.Fatal(err)

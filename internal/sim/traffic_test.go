@@ -57,7 +57,6 @@ type slowBackend struct {
 func (b *slowBackend) Describe() serve.BackendInfo {
 	return serve.BackendInfo{Kind: "dense", Algorithm: "slow", InputDim: b.dim, Classes: 2}
 }
-func (b *slowBackend) InputDim() int { return b.dim }
 func (b *slowBackend) RunBatch(ctx context.Context, _ *serve.ExecEnv, batch *tensor.Matrix, _ serve.RequestOptions) (serve.BatchResult, error) {
 	select {
 	case <-time.After(b.delay):

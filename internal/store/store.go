@@ -47,12 +47,6 @@ type Options struct {
 	// CompactEvery triggers a snapshot compaction after this many appends
 	// (default 64; negative disables compaction).
 	CompactEvery int
-	// RetainVersions bounds the publish history kept per model across
-	// compactions (default 4, matching the registry's pinnable history).
-	RetainVersions int
-	// MaxRecordBytes caps one record's payload at replay (default 64 MiB),
-	// so a garbage length header can't provoke a giant allocation.
-	MaxRecordBytes int
 	// Failpoints, when set, injects faults at the I/O seam (tests only).
 	Failpoints *Failpoints
 	// Tracer, when set, samples appends and the boot recovery into traces
@@ -65,12 +59,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.CompactEvery == 0 {
 		o.CompactEvery = 64
-	}
-	if o.RetainVersions <= 0 {
-		o.RetainVersions = 4
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = defaultMaxRecordBytes
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -160,7 +148,7 @@ func Open(opts Options) (*Store, error) {
 	snapRecs := 0
 	if b, err := os.ReadFile(filepath.Join(opts.Dir, snapshotFile)); err == nil {
 		ss := sp.Child("store.snapshot")
-		res := replay(b, opts.MaxRecordBytes)
+		res := replay(b)
 		if res.torn {
 			s.logger.Warn("store snapshot damaged; using intact prefix",
 				"dir", opts.Dir, "records", len(res.recs), "why", res.why)
@@ -184,7 +172,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: read wal: %w", err)
 	}
 	ws := sp.Child("store.wal")
-	res := replay(b, opts.MaxRecordBytes)
+	res := replay(b)
 	for _, rec := range res.recs {
 		s.applyLocked(rec)
 	}
@@ -397,7 +385,8 @@ func (s *Store) applyLocked(rec record) {
 			copy(list[i+1:], list[i:])
 			list[i] = pr
 		}
-		if n := len(list) - s.opts.RetainVersions; n > 0 {
+		// Keep the registry's pinnable history across compactions.
+		if n := len(list) - serve.VersionHistory; n > 0 {
 			list = append(list[:0:0], list[n:]...)
 		}
 		s.pubs[rec.Key] = list

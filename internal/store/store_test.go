@@ -50,6 +50,15 @@ func versionsOf(recs []serve.PublishRecord, model string) []int {
 	return out
 }
 
+// versionRange lists the versions lo..hi in ascending order.
+func versionRange(lo, hi int) []int {
+	var out []int
+	for v := lo; v <= hi; v++ {
+		out = append(out, v)
+	}
+	return out
+}
+
 func sameInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -177,8 +186,9 @@ func TestMidFileCorruptionStopsReplayAtDamage(t *testing.T) {
 
 func TestCompactionRetentionAndCrashOrder(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, Options{Dir: dir, CompactEvery: -1, RetainVersions: 2})
-	for v := 1; v <= 5; v++ {
+	s := openT(t, Options{Dir: dir, CompactEvery: -1})
+	last := serve.VersionHistory + 3
+	for v := 1; v <= last; v++ {
 		mustAppend(t, s, pub("m", v, byte(v)))
 	}
 	if err := s.Compact(); err != nil {
@@ -188,8 +198,8 @@ func TestCompactionRetentionAndCrashOrder(t *testing.T) {
 	if st.WALBytes != 0 || st.Compactions != 1 {
 		t.Fatalf("after compaction: WALBytes=%d Compactions=%d", st.WALBytes, st.Compactions)
 	}
-	if got := versionsOf(s.Publishes(), "m"); !sameInts(got, []int{4, 5}) {
-		t.Fatalf("retained versions = %v, want [4 5]", got)
+	if got, want := versionsOf(s.Publishes(), "m"), versionRange(last-serve.VersionHistory+1, last); !sameInts(got, want) {
+		t.Fatalf("retained versions = %v, want %v", got, want)
 	}
 	s.Close()
 
@@ -197,22 +207,22 @@ func TestCompactionRetentionAndCrashOrder(t *testing.T) {
 	// populated; replay double-applies the WAL's records harmlessly. Rebuild
 	// that state: reopen, append, then copy the WAL alongside the snapshot.
 	r := openT(t, Options{Dir: dir})
-	mustAppend(t, r, pub("m", 6, 6))
+	mustAppend(t, r, pub("m", last+1, byte(last+1)))
 	r.Close()
 	wal, _ := os.ReadFile(filepath.Join(dir, walFile))
 	snap, _ := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err := os.WriteFile(filepath.Join(dir, snapshotFile), append(snap, wal...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rr := openT(t, Options{Dir: dir, RetainVersions: 2})
-	if got := versionsOf(rr.Publishes(), "m"); !sameInts(got, []int{5, 6}) {
-		t.Fatalf("versions after double-apply = %v, want [5 6]", got)
+	rr := openT(t, Options{Dir: dir})
+	if got, want := versionsOf(rr.Publishes(), "m"), versionRange(last-serve.VersionHistory+2, last+1); !sameInts(got, want) {
+		t.Fatalf("versions after double-apply = %v, want %v", got, want)
 	}
 }
 
 func TestAutoCompactionOnCadence(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, Options{Dir: dir, CompactEvery: 3, RetainVersions: 10})
+	s := openT(t, Options{Dir: dir, CompactEvery: 3})
 	for v := 1; v <= 7; v++ {
 		mustAppend(t, s, pub("m", v, byte(v)))
 	}
@@ -220,8 +230,10 @@ func TestAutoCompactionOnCadence(t *testing.T) {
 	if st.Compactions != 2 {
 		t.Fatalf("Compactions = %d after 7 appends with CompactEvery=3, want 2", st.Compactions)
 	}
-	if got := versionsOf(s.Publishes(), "m"); len(got) != 7 {
-		t.Fatalf("retained %v, want all 7 versions", got)
+	// Compaction keeps exactly the retained history: the last
+	// VersionHistory versions.
+	if got, want := versionsOf(s.Publishes(), "m"), versionRange(max(1, 8-serve.VersionHistory), 7); !sameInts(got, want) {
+		t.Fatalf("retained %v, want %v", got, want)
 	}
 }
 

@@ -38,9 +38,9 @@ type record struct {
 // corrupted tail and replay truncates there.
 const frameHeader = 8
 
-// defaultMaxRecordBytes rejects absurd lengths during replay so a garbage
+// maxRecordBytes caps one record's payload at replay, so a garbage length
 // header can't provoke a giant allocation.
-const defaultMaxRecordBytes = 64 << 20
+const maxRecordBytes = 64 << 20
 
 func encodeRecord(rec record) ([]byte, error) {
 	var buf bytes.Buffer
@@ -90,10 +90,7 @@ type replayResult struct {
 // walk — everything before it is intact and everything after it is
 // unreachable anyway (frames are not self-synchronizing by design; an
 // append-only log's damage is always a tail).
-func replay(b []byte, maxRecord int) replayResult {
-	if maxRecord <= 0 {
-		maxRecord = defaultMaxRecordBytes
-	}
+func replay(b []byte) replayResult {
 	res := replayResult{}
 	off := int64(0)
 	for {
@@ -107,7 +104,7 @@ func replay(b []byte, maxRecord int) replayResult {
 		}
 		n := int(binary.LittleEndian.Uint32(rest[0:4]))
 		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxRecord {
+		if n > maxRecordBytes {
 			res.torn, res.why = true, fmt.Sprintf("frame length %d exceeds cap", n)
 			return res
 		}

@@ -18,7 +18,7 @@ import (
 //
 // The zero value is ready to use. A Pool is safe for concurrent use; the
 // package-level Get/Put helpers share one default pool so independent
-// subsystems (batcher, executor, nn backward passes) feed each other's
+// subsystems (batcher, cascade backend, nn backward passes) feed each other's
 // reuse.
 type Pool struct {
 	buckets [poolBuckets]sync.Pool

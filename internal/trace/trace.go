@@ -253,13 +253,15 @@ type Config struct {
 	// MaxSpans caps one trace's span slab (default 256); spans past the cap
 	// are dropped and counted in TraceData.DroppedSpans.
 	MaxSpans int
-	// Recent sizes the keep-latest retention ring (default 256).
-	Recent int
-	// Slow sizes the always-keep set of slowest traces (default 32).
-	Slow int
-	// Errors sizes the always-keep ring of error traces (default 64).
-	Errors int
 }
+
+// Retention sizes of a tracer's store: the keep-latest ring, the always-keep
+// set of slowest traces, and the always-keep ring of error traces.
+const (
+	keepRecent = 256
+	keepSlow   = 32
+	keepErrors = 64
+)
 
 func (c *Config) fill() {
 	if c.Sample == 0 {
@@ -267,15 +269,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxSpans <= 0 {
 		c.MaxSpans = 256
-	}
-	if c.Recent <= 0 {
-		c.Recent = 256
-	}
-	if c.Slow <= 0 {
-		c.Slow = 32
-	}
-	if c.Errors <= 0 {
-		c.Errors = 64
 	}
 }
 
@@ -298,10 +291,10 @@ type Tracer struct {
 	finished atomic.Uint64
 }
 
-// New builds a tracer with the given retention and sampling policy.
+// New builds a tracer with the given sampling policy and span cap.
 func New(cfg Config) *Tracer {
 	cfg.fill()
-	t := &Tracer{cfg: cfg, store: newStore(cfg.Recent, cfg.Slow, cfg.Errors)}
+	t := &Tracer{cfg: cfg, store: newStore(keepRecent, keepSlow, keepErrors)}
 	t.pool.New = func() any {
 		return &active{tracer: t, spans: make([]span, cfg.MaxSpans)}
 	}

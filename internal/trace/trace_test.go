@@ -37,6 +37,12 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 		"zero parent id": "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
 		"bad dashes":     strings.ReplaceAll(valid, "-", "_"),
 		"non-hex id":     "00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",
+		"uppercase id":   "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"uppercase span": "00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",
+		"uppercase ver":  "0A" + valid[2:],
+		"v00 trailing":   valid + "x",
+		"v00 extra":      valid + "-garbage",
+		"v01 no dash":    "01" + valid[2:] + "x",
 	}
 	if _, _, _, ok := ParseTraceparent(valid); !ok {
 		t.Fatal("control value rejected")
@@ -45,6 +51,10 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 		if _, _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("%s: ParseTraceparent(%q) accepted", name, h)
 		}
+	}
+	// A future version may append fields after a dash.
+	if _, _, _, ok := ParseTraceparent("01" + valid[2:] + "-future"); !ok {
+		t.Error("version 01 with a trailing field rejected")
 	}
 	// Unsampled flag parses fine but reports sampled=false.
 	if _, _, sampled, ok := ParseTraceparent(valid[:53] + "00"); !ok || sampled {
@@ -349,4 +359,35 @@ func TestChildAtRecordsExplicitWindow(t *testing.T) {
 	if q.OffsetMs > 0 {
 		t.Fatalf("ChildAt offset %.3fms, want negative (started before root)", q.OffsetMs)
 	}
+}
+
+// FuzzParseTraceparent: the parser never panics, and whatever it accepts is
+// lowercase in its version-00 prefix, exactly 55 bytes when the version is
+// 00, and survives a FormatTraceparent round trip unchanged.
+func FuzzParseTraceparent(f *testing.F) {
+	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	f.Add(valid)
+	f.Add(valid[:53] + "00")
+	f.Add(strings.ToUpper(valid))
+	f.Add(valid + "x")
+	f.Add(valid + "-garbage")
+	f.Add("01" + valid[2:] + "-future")
+	f.Add("01" + valid[2:] + "x")
+	f.Fuzz(func(t *testing.T, h string) {
+		id, parent, sampled, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if strings.ToLower(h[:55]) != h[:55] {
+			t.Fatalf("accepted %q with uppercase in the first 55 bytes", h)
+		}
+		if h[:2] == "00" && len(h) != 55 {
+			t.Fatalf("accepted version-00 %q of %d bytes, want 55", h, len(h))
+		}
+		gid, gparent, gsampled, gok := ParseTraceparent(FormatTraceparent(id, parent, sampled))
+		if !gok || gid != id || gparent != parent || gsampled != sampled {
+			t.Fatalf("%q: re-parse after FormatTraceparent gave id=%s parent=%s sampled=%v ok=%v, want id=%s parent=%s sampled=%v",
+				h, gid, gparent, gsampled, gok, id, parent, sampled)
+		}
+	})
 }

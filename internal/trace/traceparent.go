@@ -1,22 +1,28 @@
 package trace
 
-import "encoding/hex"
+import (
+	"encoding/hex"
+	"strings"
+)
 
 // The W3C traceparent header (https://www.w3.org/TR/trace-context/):
 //
 //	version "-" trace-id "-" parent-id "-" trace-flags
 //	   00   -  32 hex    -   16 hex    -    02 hex
 //
-// 55 characters total for version 00. Bit 0 of trace-flags is "sampled".
+// Hex digits are lowercase only. Version 00 is exactly 55 characters; a
+// later version may append fields after a '-'. Bit 0 of trace-flags is
+// "sampled".
 
 // ParseTraceparent decodes a traceparent header value. ok is false for a
 // missing or malformed header; sampled reflects the caller's sampling flag.
 func ParseTraceparent(h string) (id TraceID, parent SpanID, sampled, ok bool) {
-	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' ||
+		strings.ContainsAny(h[:55], "ABCDEF") {
 		return
 	}
 	ver, err := hex.DecodeString(h[0:2])
-	if err != nil || ver[0] == 0xff {
+	if err != nil || ver[0] == 0xff || len(h) > 55 && (ver[0] == 0 || h[55] != '-') {
 		return
 	}
 	if _, err := hex.Decode(id[:], []byte(h[3:35])); err != nil || id.IsZero() {

@@ -66,7 +66,7 @@ type Request struct {
 	// Options applies to every row of the request.
 	Options Options `json:"options"`
 	// TimeoutMs overrides the server's default deadline budget for this
-	// request (capped by the server's MaxTimeout; 0 inherits the default).
+	// request (capped at 30 s by the server; 0 inherits the default).
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 
 	// flat backs every row of Features after Decode: one allocation per
