@@ -57,7 +57,8 @@ lint: vet
 
 # Project-specific invariant suite (tools/analyzers): pool balance,
 # determinism (no wall clock / global rand in sim+federated+fedserve),
-# context propagation on the serving hot path, and /metrics naming. The
+# context propagation on the serving hot path, /metrics naming, and a
+# non-test caller for every export under internal/ (deadexport). The
 # tools module is separate so the main module stays zero-dependency; its
 # own tests run via `go -C tools/analyzers test ./...`.
 analyze:

@@ -14,7 +14,8 @@
 //
 // internal/serve turns the algorithmic pieces into a concurrent
 // model-serving system built around one seam, the Backend interface
-// (Describe, InputDim, RunBatch, Params, Close). Three implementations
+// (Describe, RunBatch, Params, Close; the input width is the InputDim field
+// of the BackendInfo that Describe returns). Three implementations
 // ship: DenseBackend (any nn.Sequential, including Deep-Compressed output,
 // placed local or cloud by the internal/mobile cost model), CascadeBackend
 // (split/early-exit cascades from internal/split — confident rows answer at
@@ -76,14 +77,14 @@
 // three rules the rest of the repository is written against:
 //
 //   - Destination passing: each hot operation has an *Into variant
-//     (MatMulInto, AddInto, SoftmaxInto, ..., plus accumulate fusions like
+//     (MatMulInto, MulInto, SoftmaxInto, ..., plus accumulate fusions like
 //     MatMulAccInto) that writes into a caller-supplied, correctly-shaped
 //     matrix and allocates nothing. Allocating forms remain for cold sites.
 //   - Pooling: tensor.Pool / the shared tensor.Get and tensor.Put recycle
 //     matrix storage by capacity class. Scratch obtained from Get is owned
 //     until Put and never used afterwards; results returned across an API
 //     boundary are freshly allocated, never pooled, so callers own them
-//     unconditionally. Views (Reshape, RowMatrix) must not be Put.
+//     unconditionally. Views (RowMatrix) must not be Put.
 //   - One work threshold: below 2^20 multiply-accumulates a matmul stays
 //     on the calling goroutine and the portable register-tiled kernel. From
 //     there up, the kernels split row blocks across GOMAXPROCS goroutines

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -200,4 +201,14 @@ func TestBoostingImprovesWithRounds(t *testing.T) {
 	if strongAcc <= weakAcc {
 		t.Fatalf("boosting did not improve with rounds: %v -> %v", weakAcc, strongAcc)
 	}
+}
+
+// Depth returns the depth of the fitted tree (0 for a stump/leaf).
+func (m *DecisionTree) Depth() int { return nodeDepth(m.root) }
+
+func nodeDepth(n *treeNode) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	return 1 + int(math.Max(float64(nodeDepth(n.left)), float64(nodeDepth(n.right))))
 }

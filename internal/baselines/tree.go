@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -231,14 +230,4 @@ func (m *DecisionTree) predictRow(row []float64) int {
 		}
 	}
 	return node.class
-}
-
-// Depth returns the depth of the fitted tree (0 for a stump/leaf).
-func (m *DecisionTree) Depth() int { return nodeDepth(m.root) }
-
-func nodeDepth(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	return 1 + int(math.Max(float64(nodeDepth(n.left)), float64(nodeDepth(n.right))))
 }

@@ -32,6 +32,8 @@ var _ nn.Layer = (*BlockCirculantDense)(nil)
 // both dimensions). Each b x b block of the weight matrix is projected to
 // the nearest circulant matrix by averaging its wrapped diagonals — the
 // least-squares-optimal circulant approximation.
+//
+//nolint:deadexport // test seam: the module root's BenchmarkCirculantForward
 func NewBlockCirculantFromDense(d *nn.Dense, block int) (*BlockCirculantDense, error) {
 	in, out := d.In(), d.Out()
 	switch {
@@ -80,11 +82,6 @@ func NewBlockCirculantFromDense(d *nn.Dense, block int) (*BlockCirculantDense, e
 	return l, nil
 }
 
-// ParamCount returns the number of stored weight parameters (mn/b + bias).
-func (l *BlockCirculantDense) ParamCount() int {
-	return l.in*l.out/l.block + l.out
-}
-
 // Forward implements nn.Layer using FFT-based circular convolution.
 func (l *BlockCirculantDense) Forward(x *tensor.Matrix, _ bool) (*tensor.Matrix, error) {
 	if x.Cols() != l.in {
@@ -129,58 +126,6 @@ func (l *BlockCirculantDense) Backward(_ *tensor.Matrix) (*tensor.Matrix, error)
 
 // Params implements nn.Layer (no trainable parameters).
 func (l *BlockCirculantDense) Params() []*nn.Param { return nil }
-
-// ToDense expands the block-circulant operator back to an explicit dense
-// layer (for verification and accuracy evaluation).
-func (l *BlockCirculantDense) ToDense() (*nn.Dense, error) {
-	w := tensor.New(l.in, l.out)
-	b := l.block
-	for i := 0; i < l.out/b; i++ {
-		for j := 0; j < l.in/b; j++ {
-			c := l.coeffs[i][j]
-			for r := 0; r < b; r++ {
-				for s := 0; s < b; s++ {
-					w.Set(j*b+s, i*b+r, c[(r-s+b)%b])
-				}
-			}
-		}
-	}
-	return nn.NewDenseFrom(w, l.bias.Clone())
-}
-
-// CirculantModel replaces every compatible Dense layer with its
-// block-circulant projection, returning the new model and the weight
-// parameter counts before/after.
-func CirculantModel(model *nn.Sequential, block int) (*nn.Sequential, int, int, error) {
-	layers := model.Layers()
-	out := make([]nn.Layer, len(layers))
-	before, after := 0, 0
-	converted := false
-	for i, layer := range layers {
-		d, ok := layer.(*nn.Dense)
-		if !ok {
-			out[i] = layer
-			continue
-		}
-		before += d.In()*d.Out() + d.Out()
-		if d.In()%block != 0 || d.Out()%block != 0 {
-			out[i] = layer
-			after += d.In()*d.Out() + d.Out()
-			continue
-		}
-		bc, err := NewBlockCirculantFromDense(d, block)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		out[i] = bc
-		after += bc.ParamCount()
-		converted = true
-	}
-	if !converted {
-		return nil, 0, 0, fmt.Errorf("%w: no layer compatible with block %d", ErrCompress, block)
-	}
-	return nn.NewSequential(out...), before, after, nil
-}
 
 // FFT computes the in-place radix-2 Cooley-Tukey FFT of data (len must be a
 // power of two). inverse selects the inverse transform (scaled by 1/n).

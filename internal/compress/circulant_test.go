@@ -2,6 +2,7 @@ package compress
 
 import (
 	"errors"
+	"fmt"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -189,4 +190,61 @@ func TestCirculantModelAccuracyTradeoff(t *testing.T) {
 	if _, _, _, err := CirculantModel(nn.NewSequential(nn.NewReLU()), 2); !errors.Is(err, ErrCompress) {
 		t.Fatal("want ErrCompress for dense-free model")
 	}
+}
+
+// ToDense expands the block-circulant operator back to an explicit dense
+// layer (for verification and accuracy evaluation).
+func (l *BlockCirculantDense) ToDense() (*nn.Dense, error) {
+	w := tensor.New(l.in, l.out)
+	b := l.block
+	for i := 0; i < l.out/b; i++ {
+		for j := 0; j < l.in/b; j++ {
+			c := l.coeffs[i][j]
+			for r := 0; r < b; r++ {
+				for s := 0; s < b; s++ {
+					w.Set(j*b+s, i*b+r, c[(r-s+b)%b])
+				}
+			}
+		}
+	}
+	return nn.NewDenseFrom(w, l.bias.Clone())
+}
+
+// CirculantModel replaces every compatible Dense layer with its
+// block-circulant projection, returning the new model and the weight
+// parameter counts before/after.
+func CirculantModel(model *nn.Sequential, block int) (*nn.Sequential, int, int, error) {
+	layers := model.Layers()
+	out := make([]nn.Layer, len(layers))
+	before, after := 0, 0
+	converted := false
+	for i, layer := range layers {
+		d, ok := layer.(*nn.Dense)
+		if !ok {
+			out[i] = layer
+			continue
+		}
+		before += d.In()*d.Out() + d.Out()
+		if d.In()%block != 0 || d.Out()%block != 0 {
+			out[i] = layer
+			after += d.In()*d.Out() + d.Out()
+			continue
+		}
+		bc, err := NewBlockCirculantFromDense(d, block)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		out[i] = bc
+		after += bc.ParamCount()
+		converted = true
+	}
+	if !converted {
+		return nil, 0, 0, fmt.Errorf("%w: no layer compatible with block %d", ErrCompress, block)
+	}
+	return nn.NewSequential(out...), before, after, nil
+}
+
+// ParamCount returns the number of stored weight parameters (mn/b + bias).
+func (l *BlockCirculantDense) ParamCount() int {
+	return l.in*l.out/l.block + l.out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,38 +177,14 @@ func TestPruneMatrixSparsity(t *testing.T) {
 	}
 }
 
-func TestSparseDenseMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	d := nn.NewDense(rng, 6, 3)
-	if _, err := PruneMatrix(d.Weights().Value, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	sd := NewSparseDense(d)
-	x := tensor.RandNormal(rng, 4, 6, 0, 1)
-	want, err := d.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sd.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want, 1e-12) {
-		t.Fatal("SparseDense disagrees with Dense")
-	}
-	if _, err := sd.Backward(nil); !errors.Is(err, ErrCompress) {
-		t.Fatal("SparseDense backward should refuse")
-	}
-}
-
 func TestQuantizeKMeansAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := tensor.RandNormal(rng, 10, 10, 0, 1)
-	q8, err := QuantizeKMeans(rng, m, 8, 15)
+	q8, err := QuantizeKMeans(rng, m, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := QuantizeKMeans(rng, m, 2, 15)
+	q2, err := QuantizeKMeans(rng, m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +210,7 @@ func TestQuantizePreservesZeros(t *testing.T) {
 	if _, err := PruneMatrix(m, 0.6); err != nil {
 		t.Fatal(err)
 	}
-	q, err := QuantizeKMeans(rng, m, 4, 10)
+	q, err := QuantizeKMeans(rng, m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,28 +222,6 @@ func TestQuantizePreservesZeros(t *testing.T) {
 		if v == 0 && rec.Data()[i] != 0 {
 			t.Fatal("quantization did not preserve pruned zeros")
 		}
-	}
-}
-
-func TestQuantizeLinear(t *testing.T) {
-	m, _ := tensor.FromSlice(1, 5, []float64{0, 0.25, 0.5, 0.75, 1})
-	q, err := QuantizeLinear(m, 2) // 4 levels: 0, 1/3, 2/3, 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := q.Dequantize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := q.QuantizationError(m)
-	if e > 0.17 {
-		t.Fatalf("2-bit linear error %v", e)
-	}
-	if rec.At(0, 0) != 0 || rec.At(0, 4) != 1 {
-		t.Fatalf("linear quantization should hit range endpoints: %v", rec)
-	}
-	if _, err := QuantizeLinear(m, 0); !errors.Is(err, ErrCompress) {
-		t.Fatal("want ErrCompress for 0 bits")
 	}
 }
 
@@ -514,22 +469,6 @@ func TestDistillValidation(t *testing.T) {
 	}
 }
 
-func TestSparsifyModel(t *testing.T) {
-	model, x, labels := trainedModel(t)
-	if _, err := PruneModel(model, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	sparse := Sparsify(model)
-	denseAcc, _ := EvalAccuracy(model, x, labels)
-	sparseAcc, err := EvalAccuracy(sparse, x, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(denseAcc-sparseAcc) > 1e-12 {
-		t.Fatalf("sparse model accuracy %v != dense pruned accuracy %v", sparseAcc, denseAcc)
-	}
-}
-
 func TestPruneModelReportsSparsity(t *testing.T) {
 	model, _, _ := trainedModel(t)
 	s, err := PruneModel(model, 0.8)
@@ -542,4 +481,118 @@ func TestPruneModelReportsSparsity(t *testing.T) {
 	if _, err := PruneModel(nn.NewSequential(nn.NewReLU()), 0.5); !errors.Is(err, ErrCompress) {
 		t.Fatal("want ErrCompress for dense-free model")
 	}
+}
+
+// Decode unpacks count symbols from a bitstream produced by Encode.
+func (hc *HuffmanCode) Decode(data []byte, count int) ([]uint16, error) {
+	// Build a decode map from (length, code bits) -> symbol.
+	type key struct {
+		n    int
+		bits uint64
+	}
+	decode := make(map[key]uint16, len(hc.codes))
+	maxLen := 0
+	for s, c := range hc.codes {
+		decode[key{c.n, c.bits}] = s
+		if c.n > maxLen {
+			maxLen = c.n
+		}
+	}
+	out := make([]uint16, 0, count)
+	var acc uint64
+	var accLen int
+	bitPos := 0
+	totalBits := len(data) * 8
+	for len(out) < count {
+		if accLen > maxLen {
+			return nil, fmt.Errorf("%w: invalid huffman stream", ErrCompress)
+		}
+		if bitPos >= totalBits && accLen == 0 {
+			return nil, fmt.Errorf("%w: huffman stream truncated (%d of %d symbols)", ErrCompress, len(out), count)
+		}
+		if bitPos < totalBits {
+			byteIdx := bitPos / 8
+			bit := (data[byteIdx] >> uint(7-bitPos%8)) & 1
+			acc = acc<<1 | uint64(bit)
+			accLen++
+			bitPos++
+		} else {
+			return nil, fmt.Errorf("%w: huffman stream truncated (%d of %d symbols)", ErrCompress, len(out), count)
+		}
+		if s, ok := decode[key{accLen, acc}]; ok {
+			out = append(out, s)
+			acc, accLen = 0, 0
+		}
+	}
+	return out, nil
+}
+
+// MeanBits returns the expected code length in bits under the given
+// frequency distribution — the compression-rate figure [28] reports.
+func (hc *HuffmanCode) MeanBits(freqs map[uint16]int) float64 {
+	var total, bits float64
+	for s, f := range freqs {
+		total += float64(f)
+		bits += float64(f * hc.Lengths[s])
+	}
+	if total == 0 {
+		return 0
+	}
+	return bits / total
+}
+
+// PruneModel prunes every Dense layer's weight matrix in a Sequential model
+// to the given sparsity (biases are kept dense, as in [28]).
+// It returns the overall realized weight sparsity.
+func PruneModel(model *nn.Sequential, sparsity float64) (float64, error) {
+	var zeros, total int
+	pruned := false
+	for _, layer := range model.Layers() {
+		d, ok := layer.(*nn.Dense)
+		if !ok {
+			continue
+		}
+		pruned = true
+		if _, err := PruneMatrix(d.Weights().Value, sparsity); err != nil {
+			return 0, err
+		}
+		for _, v := range d.Weights().Value.Data() {
+			if v == 0 {
+				zeros++
+			}
+		}
+		total += d.Weights().Value.Size()
+	}
+	if !pruned {
+		return 0, fmt.Errorf("%w: model has no dense layers", ErrCompress)
+	}
+	return float64(zeros) / float64(total), nil
+}
+
+// QuantizationError returns the mean absolute reconstruction error vs m.
+func (q *Quantized) QuantizationError(m *tensor.Matrix) (float64, error) {
+	rec, err := q.Dequantize()
+	if err != nil {
+		return 0, err
+	}
+	diff, err := tensor.Sub(rec, m)
+	if err != nil {
+		return 0, err
+	}
+	var l1 float64
+	for _, v := range diff.Data() {
+		l1 += math.Abs(v)
+	}
+	return l1 / float64(diff.Size()), nil
+}
+
+// ToDense reconstructs the dense matrix.
+func (c *CSR) ToDense() *tensor.Matrix {
+	m := tensor.New(c.Rows, c.Cols)
+	for i := 0; i < c.Rows; i++ {
+		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
+			m.Set(i, int(c.ColIdx[p]), c.Values[p])
+		}
+	}
+	return m
 }

@@ -150,61 +150,3 @@ func (hc *HuffmanCode) Encode(symbols []uint16) ([]byte, int, error) {
 	}
 	return out, total, nil
 }
-
-// Decode unpacks count symbols from a bitstream produced by Encode.
-func (hc *HuffmanCode) Decode(data []byte, count int) ([]uint16, error) {
-	// Build a decode map from (length, code bits) -> symbol.
-	type key struct {
-		n    int
-		bits uint64
-	}
-	decode := make(map[key]uint16, len(hc.codes))
-	maxLen := 0
-	for s, c := range hc.codes {
-		decode[key{c.n, c.bits}] = s
-		if c.n > maxLen {
-			maxLen = c.n
-		}
-	}
-	out := make([]uint16, 0, count)
-	var acc uint64
-	var accLen int
-	bitPos := 0
-	totalBits := len(data) * 8
-	for len(out) < count {
-		if accLen > maxLen {
-			return nil, fmt.Errorf("%w: invalid huffman stream", ErrCompress)
-		}
-		if bitPos >= totalBits && accLen == 0 {
-			return nil, fmt.Errorf("%w: huffman stream truncated (%d of %d symbols)", ErrCompress, len(out), count)
-		}
-		if bitPos < totalBits {
-			byteIdx := bitPos / 8
-			bit := (data[byteIdx] >> uint(7-bitPos%8)) & 1
-			acc = acc<<1 | uint64(bit)
-			accLen++
-			bitPos++
-		} else {
-			return nil, fmt.Errorf("%w: huffman stream truncated (%d of %d symbols)", ErrCompress, len(out), count)
-		}
-		if s, ok := decode[key{accLen, acc}]; ok {
-			out = append(out, s)
-			acc, accLen = 0, 0
-		}
-	}
-	return out, nil
-}
-
-// MeanBits returns the expected code length in bits under the given
-// frequency distribution — the compression-rate figure [28] reports.
-func (hc *HuffmanCode) MeanBits(freqs map[uint16]int) float64 {
-	var total, bits float64
-	for s, f := range freqs {
-		total += float64(f)
-		bits += float64(f * hc.Lengths[s])
-	}
-	if total == 0 {
-		return 0
-	}
-	return bits / total
-}

@@ -30,9 +30,7 @@ func (s StageSizes) Ratio() float64 {
 type PipelineConfig struct {
 	Sparsity float64
 	Bits     int
-	// KMeansIters bounds the quantization clustering (default 20).
-	KMeansIters int
-	Seed        int64
+	Seed     int64
 }
 
 // PipelineResult is the outcome of compressing one model.
@@ -78,7 +76,7 @@ func RunPipeline(model *nn.Sequential, cfg PipelineConfig) (*PipelineResult, err
 		sizes.PrunedBytes += len(enc)
 
 		// Stage 2: quantize the surviving weights with shared centroids.
-		q, err := QuantizeKMeans(rng, w, cfg.Bits, cfg.KMeansIters)
+		q, err := QuantizeKMeans(rng, w, cfg.Bits)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +156,7 @@ func bitsFor(levels int) int {
 	return bits
 }
 
-// CopyModel deep-copies a Sequential of Dense/activation/dropout layers so
+// CopyModel deep-copies a Sequential of Dense and activation layers so
 // compression experiments can keep the original for comparison. Layers
 // without parameters are shared (they are stateless across inference).
 func CopyModel(model *nn.Sequential) (*nn.Sequential, error) {

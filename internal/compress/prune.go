@@ -3,7 +3,6 @@ package compress
 import (
 	"fmt"
 
-	"mobiledl/internal/nn"
 	"mobiledl/internal/tensor"
 )
 
@@ -29,82 +28,4 @@ func PruneMatrix(m *tensor.Matrix, sparsity float64) (float64, error) {
 		}
 	}
 	return Sparsity(m), nil
-}
-
-// PruneModel prunes every Dense layer's weight matrix in a Sequential model
-// to the given sparsity (biases are kept dense, as in [28]).
-// It returns the overall realized weight sparsity.
-func PruneModel(model *nn.Sequential, sparsity float64) (float64, error) {
-	var zeros, total int
-	pruned := false
-	for _, layer := range model.Layers() {
-		d, ok := layer.(*nn.Dense)
-		if !ok {
-			continue
-		}
-		pruned = true
-		if _, err := PruneMatrix(d.Weights().Value, sparsity); err != nil {
-			return 0, err
-		}
-		for _, v := range d.Weights().Value.Data() {
-			if v == 0 {
-				zeros++
-			}
-		}
-		total += d.Weights().Value.Size()
-	}
-	if !pruned {
-		return 0, fmt.Errorf("%w: model has no dense layers", ErrCompress)
-	}
-	return float64(zeros) / float64(total), nil
-}
-
-// SparseDense is an inference-only dense layer backed by a CSR weight
-// matrix, demonstrating that the pruned model runs directly from the
-// compressed representation.
-type SparseDense struct {
-	w *CSR
-	b *tensor.Matrix
-}
-
-var _ nn.Layer = (*SparseDense)(nil)
-
-// NewSparseDense converts a (pruned) dense layer into its sparse form.
-func NewSparseDense(d *nn.Dense) *SparseDense {
-	return &SparseDense{w: ToCSR(d.Weights().Value), b: d.Bias().Value.Clone()}
-}
-
-// Weight returns the CSR weight matrix.
-func (s *SparseDense) Weight() *CSR { return s.w }
-
-// Forward implements nn.Layer (inference only).
-func (s *SparseDense) Forward(x *tensor.Matrix, _ bool) (*tensor.Matrix, error) {
-	y, err := s.w.MatMul(x)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.AddRowVector(y, s.b)
-}
-
-// Backward implements nn.Layer; SparseDense is inference-only.
-func (s *SparseDense) Backward(_ *tensor.Matrix) (*tensor.Matrix, error) {
-	return nil, fmt.Errorf("%w: SparseDense is inference-only", ErrCompress)
-}
-
-// Params implements nn.Layer (no trainable parameters).
-func (s *SparseDense) Params() []*nn.Param { return nil }
-
-// Sparsify replaces every Dense layer in the model with its SparseDense
-// equivalent, returning a new inference-only model.
-func Sparsify(model *nn.Sequential) *nn.Sequential {
-	layers := model.Layers()
-	out := make([]nn.Layer, len(layers))
-	for i, l := range layers {
-		if d, ok := l.(*nn.Dense); ok {
-			out[i] = NewSparseDense(d)
-		} else {
-			out[i] = l
-		}
-	}
-	return nn.NewSequential(out...)
 }

@@ -23,13 +23,11 @@ type Quantized struct {
 
 // QuantizeKMeans clusters the non-zero entries of m into 2^bits - 1 shared
 // values by 1-D k-means (Lloyd's algorithm with linearly spaced init, as in
-// [28]), reserving one code for exact zeros.
-func QuantizeKMeans(rng *rand.Rand, m *tensor.Matrix, bits int, iters int) (*Quantized, error) {
+// [28]), reserving one code for exact zeros. Lloyd's algorithm runs a fixed
+// 20 iterations.
+func QuantizeKMeans(rng *rand.Rand, m *tensor.Matrix, bits int) (*Quantized, error) {
 	if bits < 1 || bits > 16 {
 		return nil, fmt.Errorf("%w: %d-bit quantization", ErrCompress, bits)
-	}
-	if iters <= 0 {
-		iters = 20
 	}
 	var nonzeros []float64
 	for _, v := range m.Data() {
@@ -73,7 +71,7 @@ func QuantizeKMeans(rng *rand.Rand, m *tensor.Matrix, bits int, iters int) (*Qua
 	_ = rng // kept in the signature for alternative random-init strategies
 
 	assign := make([]int, len(nonzeros))
-	for it := 0; it < iters; it++ {
+	for it := 0; it < 20; it++ {
 		// Assignment step.
 		for i, v := range nonzeros {
 			best, bestD := 0, math.Inf(1)
@@ -113,50 +111,6 @@ func QuantizeKMeans(rng *rand.Rand, m *tensor.Matrix, bits int, iters int) (*Qua
 	return q, nil
 }
 
-// QuantizeLinear quantizes m with uniform (linear) n-bit quantization over
-// [min, max], the simpler scheme of [32-34] ("reducing the bits required to
-// depict the parameters").
-func QuantizeLinear(m *tensor.Matrix, bits int) (*Quantized, error) {
-	if bits < 1 || bits > 16 {
-		return nil, fmt.Errorf("%w: %d-bit quantization", ErrCompress, bits)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range m.Data() {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	levels := 1 << bits
-	q := &Quantized{
-		Rows:  m.Rows(),
-		Cols:  m.Cols(),
-		Codes: make([]uint16, m.Size()),
-	}
-	q.Codebook = make([]float64, levels)
-	if hi == lo {
-		q.Codebook[0] = lo
-		return q, nil
-	}
-	step := (hi - lo) / float64(levels-1)
-	for i := range q.Codebook {
-		q.Codebook[i] = lo + step*float64(i)
-	}
-	for i, v := range m.Data() {
-		code := int(math.Round((v - lo) / step))
-		if code < 0 {
-			code = 0
-		}
-		if code >= levels {
-			code = levels - 1
-		}
-		q.Codes[i] = uint16(code)
-	}
-	return q, nil
-}
-
 // Dequantize reconstructs the dense matrix from the codebook.
 func (q *Quantized) Dequantize() (*tensor.Matrix, error) {
 	m := tensor.New(q.Rows, q.Cols)
@@ -168,27 +122,4 @@ func (q *Quantized) Dequantize() (*tensor.Matrix, error) {
 		d[i] = q.Codebook[c]
 	}
 	return m, nil
-}
-
-// QuantizationError returns the mean absolute reconstruction error vs m.
-func (q *Quantized) QuantizationError(m *tensor.Matrix) (float64, error) {
-	rec, err := q.Dequantize()
-	if err != nil {
-		return 0, err
-	}
-	diff, err := tensor.Sub(rec, m)
-	if err != nil {
-		return 0, err
-	}
-	return diff.L1Norm() / float64(diff.Size()), nil
-}
-
-// CodeHistogram returns the frequency of each code, the input to Huffman
-// coding.
-func (q *Quantized) CodeHistogram() map[uint16]int {
-	h := make(map[uint16]int, len(q.Codebook))
-	for _, c := range q.Codes {
-		h[c]++
-	}
-	return h
 }

@@ -48,22 +48,13 @@ func ToCSR(m *tensor.Matrix) *CSR {
 	return c
 }
 
-// ToDense reconstructs the dense matrix.
-func (c *CSR) ToDense() *tensor.Matrix {
-	m := tensor.New(c.Rows, c.Cols)
-	for i := 0; i < c.Rows; i++ {
-		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-			m.Set(i, int(c.ColIdx[p]), c.Values[p])
-		}
-	}
-	return m
-}
-
 // NNZ returns the number of stored non-zeros.
 func (c *CSR) NNZ() int { return len(c.Values) }
 
 // MatMul computes x @ W where W is this CSR matrix (rows = in, cols = out).
 // x is batch x in.
+//
+//nolint:deadexport // test seam: the module root's BenchmarkSparseMatMul
 func (c *CSR) MatMul(x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Cols() != c.Rows {
 		return nil, fmt.Errorf("%w: sparse matmul %dx%d @ %dx%d",
@@ -116,6 +107,8 @@ func (c *CSR) Encode() ([]byte, error) {
 // the row pointers (0 first, non-decreasing, nnz last) and column indices
 // (within cols) are validated, so a hostile header can neither panic nor
 // provoke an allocation larger than its input.
+//
+//nolint:deadexport // the ROADMAP item "Execute compressed" loads CSR weights from disk
 func DecodeCSR(b []byte) (*CSR, error) {
 	le := binary.LittleEndian
 	if len(b) < 12 {

@@ -64,7 +64,7 @@ func TestConfigValidation(t *testing.T) {
 		{NumUsers: 0, SessionsPerUser: 5},
 		{NumUsers: 5, SessionsPerUser: 0},
 		{NumUsers: 5, SessionsPerUser: 5, MoodEffect: 2},
-		{NumUsers: 5, SessionsPerUser: 5, DepressedFraction: -0.1},
+		{NumUsers: 5, SessionsPerUser: 5, depressedFraction: -0.1},
 	}
 	for _, cfg := range bad {
 		if _, err := GenerateKeystrokeCorpus(cfg); !errors.Is(err, ErrConfig) {
@@ -335,4 +335,14 @@ func TestPoissonProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// DistinctLabels returns the number of distinct labels in the shard, used by
+// tests to verify the non-IID property.
+func (c *ClientShard) DistinctLabels() int {
+	seen := make(map[int]struct{})
+	for _, l := range c.Labels {
+		seen[l] = struct{}{}
+	}
+	return len(seen)
 }

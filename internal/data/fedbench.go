@@ -164,13 +164,3 @@ func ShardNonIID(rng *rand.Rand, x *tensor.Matrix, labels []int, n int) ([]*Clie
 	}
 	return shards, nil
 }
-
-// DistinctLabels returns the number of distinct labels in the shard, used by
-// tests to verify the non-IID property.
-func (c *ClientShard) DistinctLabels() int {
-	seen := make(map[int]struct{})
-	for _, l := range c.Labels {
-		seen[l] = struct{}{}
-	}
-	return len(seen)
-}

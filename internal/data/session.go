@@ -132,10 +132,10 @@ type KeystrokeConfig struct {
 	// dynamics (slower, more backspacing, less movement). 0 disables the
 	// mood signal entirely.
 	MoodEffect float64
-	// DepressedFraction is the per-user fraction of sessions generated in
-	// the depressed state (default 0.5 when unset).
-	DepressedFraction float64
-	Seed              int64
+	Seed       int64
+	// depressedFraction is the per-user fraction of sessions generated in
+	// the depressed state (0.5 when unset; only tests set it).
+	depressedFraction float64
 }
 
 func (c *KeystrokeConfig) validate() error {
@@ -148,8 +148,8 @@ func (c *KeystrokeConfig) validate() error {
 	if c.MoodEffect < 0 || c.MoodEffect > 1 {
 		return fmt.Errorf("%w: MoodEffect=%v", ErrConfig, c.MoodEffect)
 	}
-	if c.DepressedFraction < 0 || c.DepressedFraction > 1 {
-		return fmt.Errorf("%w: DepressedFraction=%v", ErrConfig, c.DepressedFraction)
+	if c.depressedFraction < 0 || c.depressedFraction > 1 {
+		return fmt.Errorf("%w: depressed fraction=%v", ErrConfig, c.depressedFraction)
 	}
 	return nil
 }
@@ -161,13 +161,13 @@ type Corpus struct {
 }
 
 // GenerateKeystrokeCorpus builds a deterministic synthetic corpus: NumUsers
-// users, SessionsPerUser sessions each, half (or DepressedFraction) of each
+// users, SessionsPerUser sessions each, half of each
 // user's sessions generated under the depressed-mood shift.
 func GenerateKeystrokeCorpus(cfg KeystrokeConfig) (*Corpus, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	depFrac := cfg.DepressedFraction
+	depFrac := cfg.depressedFraction
 	if depFrac == 0 {
 		depFrac = 0.5
 	}

@@ -52,9 +52,7 @@ type Config struct {
 	Fusion FusionKind
 	// FusionUnits is k' for FC and k for FM/MVM; defaults to Hidden.
 	FusionUnits int
-	// Bidirectional doubles each view embedding with a reversed-direction GRU.
-	Bidirectional bool
-	Seed          int64
+	Seed        int64
 }
 
 func (c *Config) validate() error {
@@ -75,17 +73,10 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// encoder abstracts GRU vs BiGRU so the model code is direction-agnostic.
-type encoder interface {
-	ForwardSeq(seq *tensor.Matrix) (*tensor.Matrix, error)
-	BackwardLast(dLast *tensor.Matrix) (*tensor.Matrix, error)
-	Params() []*nn.Param
-}
-
 // Model is a trained or trainable DeepMood instance.
 type Model struct {
 	cfg      Config
-	encoders []encoder // one per view: alphanumeric, special, accelerometer
+	encoders []*nn.GRU // one per view: alphanumeric, special, accelerometer
 	fusion   fusion.Layer
 	params   []*nn.Param
 }
@@ -104,26 +95,18 @@ func New(cfg Config) (*Model, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{cfg: cfg}
 
-	embedDim := cfg.Hidden
 	for _, d := range viewDims {
-		if cfg.Bidirectional {
-			m.encoders = append(m.encoders, nn.NewBiGRU(rng, d, cfg.Hidden))
-		} else {
-			m.encoders = append(m.encoders, nn.NewGRU(rng, d, cfg.Hidden))
-		}
-	}
-	if cfg.Bidirectional {
-		embedDim = 2 * cfg.Hidden
+		m.encoders = append(m.encoders, nn.NewGRU(rng, d, cfg.Hidden))
 	}
 
 	numViews := len(viewDims)
 	switch cfg.Fusion {
 	case FusionFC:
-		m.fusion = fusion.NewFullyConnected(rng, numViews, embedDim, cfg.FusionUnits, cfg.Classes)
+		m.fusion = fusion.NewFullyConnected(rng, numViews, cfg.Hidden, cfg.FusionUnits, cfg.Classes)
 	case FusionFM:
-		m.fusion = fusion.NewFactorizationMachine(rng, numViews, embedDim, cfg.FusionUnits, cfg.Classes)
+		m.fusion = fusion.NewFactorizationMachine(rng, numViews, cfg.Hidden, cfg.FusionUnits, cfg.Classes)
 	case FusionMVM:
-		m.fusion = fusion.NewMultiviewMachine(rng, numViews, embedDim, cfg.FusionUnits, cfg.Classes)
+		m.fusion = fusion.NewMultiviewMachine(rng, numViews, cfg.Hidden, cfg.FusionUnits, cfg.Classes)
 	}
 
 	for _, e := range m.encoders {
@@ -135,9 +118,6 @@ func New(cfg Config) (*Model, error) {
 
 // Params returns all trainable parameters.
 func (m *Model) Params() []*nn.Param { return m.params }
-
-// Config returns the model configuration.
-func (m *Model) Config() Config { return m.cfg }
 
 // Label extracts the task label from a session.
 func (m *Model) Label(s *data.Session) int {
@@ -214,8 +194,6 @@ type TrainConfig struct {
 	BatchSize int // gradient-accumulation batch, in sessions
 	Optimizer nn.Optimizer
 	Rng       *rand.Rand
-	// OnEpoch, if non-nil, receives the mean session loss per epoch.
-	OnEpoch func(epoch int, loss float64)
 }
 
 // Train fits the model on the given (pre-normalized) sessions and returns
@@ -277,9 +255,6 @@ func (m *Model) Train(sessions []*data.Session, cfg TrainConfig) ([]float64, err
 			}
 		}
 		losses = append(losses, epochLoss/float64(count))
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, losses[len(losses)-1])
-		}
 	}
 	return losses, nil
 }

@@ -56,22 +56,6 @@ func TestForwardShapes(t *testing.T) {
 	}
 }
 
-func TestBidirectionalForward(t *testing.T) {
-	c := corpus(t, 2, 2, 0.5, 1)
-	m, err := New(Config{Task: TaskMood, Classes: 2, Hidden: 4, Fusion: FusionFC, Bidirectional: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := data.NormalizeSessionViews(c.Sessions[0])
-	out, err := m.Forward(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cols() != 2 {
-		t.Fatalf("output cols %d", out.Cols())
-	}
-}
-
 func TestLabelSelection(t *testing.T) {
 	s := &data.Session{UserID: 3, Mood: 1}
 	mMood, _ := New(Config{Task: TaskMood, Classes: 2, Hidden: 2, Fusion: FusionFC, Seed: 1})

@@ -25,9 +25,7 @@ type Config struct {
 	NumUsers int
 	Hidden   int
 	Fusion   deepmood.FusionKind
-	// FusionUnits is the fusion head capacity; defaults to Hidden.
-	FusionUnits int
-	Seed        int64
+	Seed     int64
 }
 
 // Identifier is an N-way user-identification model.
@@ -45,12 +43,11 @@ func New(cfg Config) (*Identifier, error) {
 		cfg.Fusion = deepmood.FusionMVM
 	}
 	m, err := deepmood.New(deepmood.Config{
-		Task:        deepmood.TaskUser,
-		Classes:     cfg.NumUsers,
-		Hidden:      cfg.Hidden,
-		Fusion:      cfg.Fusion,
-		FusionUnits: cfg.FusionUnits,
-		Seed:        cfg.Seed,
+		Task:    deepmood.TaskUser,
+		Classes: cfg.NumUsers,
+		Hidden:  cfg.Hidden,
+		Fusion:  cfg.Fusion,
+		Seed:    cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -58,17 +55,9 @@ func New(cfg Config) (*Identifier, error) {
 	return &Identifier{model: m, users: cfg.NumUsers}, nil
 }
 
-// Model exposes the underlying multi-view model.
-func (id *Identifier) Model() *deepmood.Model { return id.model }
-
 // Train fits the identifier on normalized sessions.
 func (id *Identifier) Train(sessions []*data.Session, cfg deepmood.TrainConfig) ([]float64, error) {
 	return id.model.Train(sessions, cfg)
-}
-
-// Identify predicts the user of one session.
-func (id *Identifier) Identify(s *data.Session) (int, error) {
-	return id.model.Predict(s)
 }
 
 // Evaluate computes accuracy and F1 over test sessions.
@@ -92,16 +81,14 @@ type PairResult struct {
 	F1           float64
 }
 
-// PairwiseConfig configures the pairwise identification experiment.
+// PairwiseConfig configures the pairwise identification experiment. Each
+// pair's sessions split 80/20 into train and test.
 type PairwiseConfig struct {
-	Hidden      int
-	Fusion      deepmood.FusionKind
-	FusionUnits int
-	Epochs      int
-	BatchSize   int
-	LR          float64
-	TrainFrac   float64
-	Seed        int64
+	Hidden    int
+	Fusion    deepmood.FusionKind
+	Epochs    int
+	BatchSize int
+	Seed      int64
 }
 
 // EvaluatePairs trains and evaluates a fresh binary identifier for every
@@ -110,9 +97,6 @@ type PairwiseConfig struct {
 func EvaluatePairs(sessions []*data.Session, users []int, cfg PairwiseConfig, newOpt func() nn.Optimizer) ([]PairResult, error) {
 	if len(users) < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 users", ErrConfig)
-	}
-	if cfg.TrainFrac == 0 {
-		cfg.TrainFrac = 0.8
 	}
 	var results []PairResult
 	for i := 0; i < len(users); i++ {
@@ -146,16 +130,15 @@ func evaluatePair(sessions []*data.Session, a, b int, cfg PairwiseConfig, optimi
 		return PairResult{}, fmt.Errorf("%w: only %d sessions for pair", ErrConfig, len(pair))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	train, test, err := data.SplitSessions(rng, pair, cfg.TrainFrac)
+	train, test, err := data.SplitSessions(rng, pair, 0.8)
 	if err != nil {
 		return PairResult{}, err
 	}
 	id, err := New(Config{
-		NumUsers:    2,
-		Hidden:      cfg.Hidden,
-		Fusion:      cfg.Fusion,
-		FusionUnits: cfg.FusionUnits,
-		Seed:        cfg.Seed,
+		NumUsers: 2,
+		Hidden:   cfg.Hidden,
+		Fusion:   cfg.Fusion,
+		Seed:     cfg.Seed,
 	})
 	if err != nil {
 		return PairResult{}, err

@@ -326,3 +326,14 @@ func TestWeightedAggregationMath(t *testing.T) {
 		t.Fatal("FedAvg is not deterministic for a fixed seed")
 	}
 }
+
+// EligibleCount returns how many devices are currently eligible.
+func (s *Scheduler) EligibleCount() int {
+	n := 0
+	for _, st := range s.states {
+		if st.Eligible() {
+			n++
+		}
+	}
+	return n
+}

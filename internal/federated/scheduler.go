@@ -58,20 +58,6 @@ func (s *Scheduler) Eligible(k int) bool {
 	return s.states[k].Eligible()
 }
 
-// EligibleCount returns how many devices are currently eligible.
-func (s *Scheduler) EligibleCount() int {
-	n := 0
-	for _, st := range s.states {
-		if st.Eligible() {
-			n++
-		}
-	}
-	return n
-}
-
-// State returns device k's current state.
-func (s *Scheduler) State(k int) DeviceState { return s.states[k] }
-
 // Advance re-randomizes all device states for the next round.
 func (s *Scheduler) Advance() {
 	for i := range s.states {

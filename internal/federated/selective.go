@@ -27,10 +27,8 @@ type SelectiveSGDConfig struct {
 	LocalBatch       int
 	LocalLR          float64
 	Seed             int64
-	// Eval/EvalEvery/TargetAccuracy mirror FedAvgConfig.
-	Eval           func(model *nn.Sequential) (float64, error)
-	EvalEvery      int
-	TargetAccuracy float64
+	// Eval, if set, scores the global model after every round.
+	Eval func(model *nn.Sequential) (float64, error)
 }
 
 func (c *SelectiveSGDConfig) validate(numClients int) error {
@@ -124,10 +122,6 @@ func RunSelectiveSGD(factory ModelFactory, shards []*data.ClientShard, classes i
 		}
 	}
 
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
-	}
 	uploadCount := int(math.Ceil(cfg.Theta * float64(totalParams)))
 	downloadCount := int(math.Ceil(cfg.DownloadFraction * float64(totalParams)))
 
@@ -176,17 +170,12 @@ func RunSelectiveSGD(factory ModelFactory, shards []*data.ClientShard, classes i
 			CumulativeDownBytes: downBytes,
 			ParticipatingUsers:  len(parts),
 		}
-		if cfg.Eval != nil && (round%evalEvery == 0 || round == cfg.Rounds-1) {
+		if cfg.Eval != nil {
 			acc, err := cfg.Eval(global)
 			if err != nil {
 				return nil, nil, err
 			}
 			st.Accuracy = acc
-			stats = append(stats, st)
-			if cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy {
-				return global, stats, nil
-			}
-			continue
 		}
 		stats = append(stats, st)
 	}

@@ -47,10 +47,10 @@ const (
 // cumulative epsilon in Status: one noisy release per synchronous round,
 // sampled at q = ClientFraction, or Cohort/len(Shards) when Cohort is set.
 type DPConfig struct {
-	Clip  float64
-	Sigma float64
+	Clip  float64 //nolint:deadexport // set once the ROADMAP item "Every ε … certified" serves DP rounds
+	Sigma float64 //nolint:deadexport // set once the ROADMAP item "Every ε … certified" serves DP rounds
 	// Delta is the accountant's delta for the reported epsilon (default 1e-5).
-	Delta float64
+	Delta float64 //nolint:deadexport // set once the ROADMAP item "Every ε … certified" serves DP rounds
 }
 
 // Config wires a Coordinator: the federated task (factory, shards, held-out
@@ -104,7 +104,7 @@ type Config struct {
 	Quorum float64
 
 	// DP, if non-nil, makes aggregation differentially private.
-	DP *DPConfig
+	DP *DPConfig //nolint:deadexport // set once the ROADMAP item "Every ε … certified" serves DP rounds
 
 	// Registry and Model name the published servable. The coordinator
 	// publishes its initial global model at construction so serving can

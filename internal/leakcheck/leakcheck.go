@@ -38,6 +38,8 @@ var ignoredSubstrings = []string{
 // test did not add any. Detection retries with backoff for about two
 // seconds so goroutines that are mid-exit (closed channel received, return
 // in progress) do not count as leaks.
+//
+//nolint:deadexport // test seam: cluster, fedserve and serve tests
 func Check(t testing.TB) {
 	t.Helper()
 	before := snapshot()

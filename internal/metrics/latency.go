@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -67,30 +66,6 @@ func (r *LatencyRecorder) Record(v float64) {
 	}
 	r.samples[r.next] = v
 	r.next = (r.next + 1) % cap(r.samples)
-}
-
-// Count returns the lifetime number of recorded observations.
-func (r *LatencyRecorder) Count() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) over the sliding window,
-// with linear interpolation between adjacent order statistics. It returns an
-// error when no samples have been recorded or q is out of range.
-func (r *LatencyRecorder) Quantile(q float64) (float64, error) {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("%w: quantile %v", ErrInput, q)
-	}
-	r.mu.Lock()
-	window := append([]float64(nil), r.samples...)
-	r.mu.Unlock()
-	if len(window) == 0 {
-		return 0, fmt.Errorf("%w: no samples recorded", ErrInput)
-	}
-	sort.Float64s(window)
-	return quantileOf(window, q), nil
 }
 
 // quantileOf interpolates the q-th quantile of an already-sorted, non-empty

@@ -1,12 +1,11 @@
 // Package metrics implements the evaluation measures the paper reports:
-// accuracy, per-class precision/recall, macro/micro F1, confusion matrices,
-// and binary AUC.
+// accuracy, per-class precision/recall, macro/micro F1 and confusion
+// matrices.
 package metrics
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrInput reports invalid metric inputs (length mismatch, empty sets).
@@ -124,56 +123,6 @@ func (cm *ConfusionMatrix) WeightedF1() float64 {
 		return 0
 	}
 	return sum / float64(total)
-}
-
-// AUC computes the area under the ROC curve for binary labels (0/1) given
-// predicted scores for the positive class, using the rank formulation with
-// proper tie handling.
-func AUC(scores []float64, labels []int) (float64, error) {
-	if len(scores) != len(labels) || len(scores) == 0 {
-		return 0, fmt.Errorf("%w: %d scores vs %d labels", ErrInput, len(scores), len(labels))
-	}
-	type pair struct {
-		s float64
-		l int
-	}
-	ps := make([]pair, len(scores))
-	var pos, neg int
-	for i := range scores {
-		if labels[i] != 0 && labels[i] != 1 {
-			return 0, fmt.Errorf("%w: AUC labels must be 0/1, got %d", ErrInput, labels[i])
-		}
-		ps[i] = pair{scores[i], labels[i]}
-		if labels[i] == 1 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0, fmt.Errorf("%w: AUC needs both classes (pos=%d neg=%d)", ErrInput, pos, neg)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].s < ps[j].s })
-	// Average ranks across ties.
-	ranks := make([]float64, len(ps))
-	for i := 0; i < len(ps); {
-		j := i
-		for j < len(ps) && ps[j].s == ps[i].s {
-			j++
-		}
-		avg := float64(i+j+1) / 2 // ranks are 1-based
-		for k := i; k < j; k++ {
-			ranks[k] = avg
-		}
-		i = j
-	}
-	var rankSum float64
-	for i, p := range ps {
-		if p.l == 1 {
-			rankSum += ranks[i]
-		}
-	}
-	return (rankSum - float64(pos)*float64(pos+1)/2) / (float64(pos) * float64(neg)), nil
 }
 
 // Report bundles the headline numbers for one classifier evaluation.

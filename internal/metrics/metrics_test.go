@@ -73,40 +73,6 @@ func TestConfusionMatrixValidation(t *testing.T) {
 	}
 }
 
-func TestAUCPerfectAndRandom(t *testing.T) {
-	auc, err := AUC([]float64{0.1, 0.2, 0.8, 0.9}, []int{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc != 1 {
-		t.Fatalf("perfect separation AUC %v, want 1", auc)
-	}
-	auc, err = AUC([]float64{0.9, 0.8, 0.2, 0.1}, []int{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc != 0 {
-		t.Fatalf("inverted separation AUC %v, want 0", auc)
-	}
-	// All-tied scores give AUC 0.5.
-	auc, err = AUC([]float64{0.5, 0.5, 0.5, 0.5}, []int{0, 1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(auc-0.5) > 1e-12 {
-		t.Fatalf("tied AUC %v, want 0.5", auc)
-	}
-}
-
-func TestAUCValidation(t *testing.T) {
-	if _, err := AUC([]float64{1}, []int{1}); !errors.Is(err, ErrInput) {
-		t.Fatalf("want ErrInput for single-class input, got %v", err)
-	}
-	if _, err := AUC([]float64{1, 2}, []int{0, 3}); !errors.Is(err, ErrInput) {
-		t.Fatalf("want ErrInput for non-binary label, got %v", err)
-	}
-}
-
 func TestMicroF1EqualsAccuracyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

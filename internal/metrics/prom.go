@@ -19,9 +19,9 @@ type Label struct {
 // in memory and Flush writes them grouped by metric family — the format
 // requires a family's series to be consecutive, and producers (one per
 // served model, plus training sources) naturally interleave families. The
-// `# HELP` / `# TYPE` header is emitted once per family, label values are
-// escaped, and the first error (io failure or a name re-declared under a
-// different type) is retained for Err/Flush. A PromWriter is
+// `# HELP` / `# TYPE` header is emitted once per family, help texts and
+// label values are escaped, and the first error (io failure or a name re-declared under a
+// different type) is retained for Flush. A PromWriter is
 // single-goroutine: build one per scrape over a buffer.
 type PromWriter struct {
 	w     io.Writer
@@ -41,9 +41,6 @@ func NewPromWriter(w io.Writer) *PromWriter {
 		lines: make(map[string][]string),
 	}
 }
-
-// Err returns the first error recorded so far.
-func (p *PromWriter) Err() error { return p.err }
 
 // Counter records one monotonically-increasing sample.
 func (p *PromWriter) Counter(name, help string, value float64, labels ...Label) {
@@ -103,7 +100,7 @@ func (p *PromWriter) Flush() error {
 		return p.err
 	}
 	for _, fam := range p.order {
-		if _, err := fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", fam, p.helps[fam], fam, p.kinds[fam]); err != nil {
+		if _, err := fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", fam, helpEscaper.Replace(p.helps[fam]), fam, p.kinds[fam]); err != nil {
 			p.err = err
 			return err
 		}
@@ -164,6 +161,10 @@ func (p *PromWriter) line(fam, series string, value float64, labels []Label) {
 	sb.WriteByte('\n')
 	p.lines[fam] = append(p.lines[fam], sb.String())
 }
+
+// helpEscaper applies the exposition-format HELP escapes, so a help text
+// cannot end its comment line early.
+var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 // escapeLabel applies the exposition-format label escapes: backslash, double
 // quote, and newline.

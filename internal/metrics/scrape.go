@@ -23,7 +23,7 @@ type Sample struct {
 // PromWriter, shared by acceptance harnesses (clustercheck, fedsim) and
 // tests so each caller stops hand-rolling `strings.Contains` matching
 // against raw metric text. Build one with ParseProm or ScrapeURL and query
-// it with Value / Sum / HistogramQuantile.
+// it with Value / Sum / HistogramBuckets.
 type Scrape struct {
 	samples []Sample
 	types   map[string]string // family -> TYPE declaration
@@ -77,6 +77,8 @@ func parseSampleLine(line string) (Sample, error) {
 	rest := line
 	if i := strings.IndexAny(rest, "{ "); i < 0 {
 		return sample, fmt.Errorf("no value: %q", line)
+	} else if i == 0 {
+		return sample, fmt.Errorf("no metric name: %q", line)
 	} else {
 		sample.Name = rest[:i]
 		rest = rest[i:]
@@ -159,26 +161,15 @@ func (s Sample) matches(labels []Label) bool {
 	return true
 }
 
-// Has reports whether any series of the named family was scraped (for
-// histograms, the family name matches its `_bucket`/`_sum`/`_count` series
-// too).
-func (s *Scrape) Has(name string) bool {
-	if _, ok := s.types[name]; ok {
-		return true
-	}
-	for _, sm := range s.samples {
-		if sm.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Type returns the declared TYPE of a family ("" when undeclared).
+//
+//nolint:deadexport // test seam: serve tests
 func (s *Scrape) Type(name string) string { return s.types[name] }
 
 // Value returns the first sample of the named series matching every given
 // label, and whether one was found.
+//
+//nolint:deadexport // test seam: serve and cmd/mobiledlserve tests
 func (s *Scrape) Value(name string, labels ...Label) (float64, bool) {
 	for _, sm := range s.samples {
 		if sm.Name == name && sm.matches(labels) {
@@ -189,8 +180,7 @@ func (s *Scrape) Value(name string, labels ...Label) (float64, bool) {
 }
 
 // Sum adds every sample of the named series matching the given label subset
-// — e.g. a counter summed across its `model` label, or across nodes when
-// several scrapes are merged with Merge.
+// — e.g. a counter summed across its `model` label.
 func (s *Scrape) Sum(name string, labels ...Label) float64 {
 	var total float64
 	for _, sm := range s.samples {
@@ -199,18 +189,6 @@ func (s *Scrape) Sum(name string, labels ...Label) float64 {
 		}
 	}
 	return total
-}
-
-// Merge folds another scrape's samples into this one (types from the other
-// scrape win only where unset), so per-node scrapes aggregate into one
-// cluster-wide view.
-func (s *Scrape) Merge(o *Scrape) {
-	s.samples = append(s.samples, o.samples...)
-	for k, v := range o.types {
-		if _, ok := s.types[k]; !ok {
-			s.types[k] = v
-		}
-	}
 }
 
 // HistogramBuckets returns the named histogram's cumulative buckets matching
@@ -245,19 +223,6 @@ func (s *Scrape) HistogramBuckets(name string, labels ...Label) (bounds []float6
 		counts[i] = acc[b]
 	}
 	return bounds, counts
-}
-
-// HistogramQuantile estimates the q-th quantile of the named histogram from
-// its cumulative buckets (the prometheus histogram_quantile estimator:
-// linear interpolation within the landing bucket). The result saturates at
-// the highest finite bound when the quantile lands in the +Inf bucket.
-// Errors when the histogram is missing or empty.
-func (s *Scrape) HistogramQuantile(name string, q float64, labels ...Label) (float64, error) {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("%w: quantile %v", ErrInput, q)
-	}
-	bounds, counts := s.HistogramBuckets(name, labels...)
-	return BucketQuantile(q, bounds, counts)
 }
 
 // BucketQuantile computes a quantile from cumulative histogram buckets

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"math/rand"
 
 	"mobiledl/internal/tensor"
 )
@@ -39,15 +38,6 @@ func NewReLU() *Activation {
 			}
 			return 0
 		},
-	}
-}
-
-// NewSigmoid returns a logistic-sigmoid activation layer.
-func NewSigmoid() *Activation {
-	return &Activation{
-		name:       "sigmoid",
-		fn:         Sigmoid,
-		derivFromY: func(y float64) float64 { return y * (1 - y) },
 	}
 }
 
@@ -98,55 +88,3 @@ func (a *Activation) Backward(gradOut *tensor.Matrix) (*tensor.Matrix, error) {
 
 // Params implements Layer.
 func (a *Activation) Params() []*Param { return nil }
-
-// Dropout zeroes activations with probability Rate during training and
-// scales the survivors by 1/(1-Rate) ("inverted dropout"), so inference
-// needs no rescaling.
-type Dropout struct {
-	rate float64
-	rng  *rand.Rand
-	mask *tensor.Matrix
-}
-
-var _ Layer = (*Dropout)(nil)
-
-// NewDropout creates a dropout layer with the given drop probability in [0,1).
-func NewDropout(rng *rand.Rand, rate float64) *Dropout {
-	return &Dropout{rate: rate, rng: rng}
-}
-
-// Forward implements Layer. Inference (train=false) writes no state, so it
-// is safe for concurrent callers.
-func (d *Dropout) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
-	if !train {
-		return x, nil
-	}
-	if d.rate == 0 {
-		d.mask = nil
-		return x, nil
-	}
-	keep := 1 - d.rate
-	d.mask = tensor.New(x.Rows(), x.Cols())
-	md := d.mask.Data()
-	for i := range md {
-		if d.rng.Float64() < keep {
-			md[i] = 1 / keep
-		}
-	}
-	out, err := tensor.Mul(x, d.mask)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Matrix) (*tensor.Matrix, error) {
-	if d.mask == nil {
-		return gradOut, nil
-	}
-	return tensor.Mul(gradOut, d.mask)
-}
-
-// Params implements Layer.
-func (d *Dropout) Params() []*Param { return nil }

@@ -197,72 +197,3 @@ func TestGRUInputGradientCheck(t *testing.T) {
 		}
 	}
 }
-
-func TestBiGRUGradientCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	bi := NewBiGRU(rng, 2, 3)
-	head := NewDense(rng, 6, 2)
-	loss := NewSoftmaxCrossEntropy()
-	seq := tensor.RandNormal(rng, 5, 2, 0, 1)
-	y, _ := OneHot([]int{0}, 2)
-
-	lossFn := func() float64 {
-		hcat, err := bi.ForwardSeq(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := head.Forward(hcat, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := loss.Forward(out, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-
-	all := append(bi.Params(), head.Params()...)
-	ZeroGrads(all)
-	lossFn()
-	g, _ := loss.Backward()
-	dh, err := head.Backward(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bi.BackwardLast(dh); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range all {
-		num := numericalGrad(t, p, lossFn)
-		if d := maxAbsDiff(p.Grad, num); d > 1e-5 {
-			t.Errorf("param %s analytic/numeric gradient diff %v", p.Name, d)
-		}
-	}
-}
-
-func TestMSEGradientCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	layer := NewDense(rng, 3, 2)
-	loss := NewMSE()
-	x := tensor.RandNormal(rng, 4, 3, 0, 1)
-	y := tensor.RandNormal(rng, 4, 2, 0, 1)
-
-	lossFn := func() float64 {
-		out, _ := layer.Forward(x, true)
-		l, _ := loss.Forward(out, y)
-		return l
-	}
-	ZeroGrads(layer.Params())
-	lossFn()
-	g, _ := loss.Backward()
-	if _, err := layer.Backward(g); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range layer.Params() {
-		num := numericalGrad(t, p, lossFn)
-		if d := maxAbsDiff(p.Grad, num); d > 1e-6 {
-			t.Errorf("param %s analytic/numeric gradient diff %v", p.Name, d)
-		}
-	}
-}

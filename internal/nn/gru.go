@@ -62,12 +62,6 @@ func NewGRU(rng *rand.Rand, inDim, hidden int) *GRU {
 	}
 }
 
-// InDim returns the input feature dimension.
-func (g *GRU) InDim() int { return g.inDim }
-
-// Hidden returns the hidden-state dimension.
-func (g *GRU) Hidden() int { return g.hidden }
-
 // Params returns all nine trainable parameter matrices.
 func (g *GRU) Params() []*Param {
 	return []*Param{g.wr, g.ur, g.br, g.wz, g.uz, g.bz, g.wh, g.uh, g.bh}
@@ -279,81 +273,4 @@ func (g *GRU) BackwardLast(dLast *tensor.Matrix) (*tensor.Matrix, error) {
 		dh, dhPrev = dhPrev, dh
 	}
 	return dSeq, nil
-}
-
-// BiGRU runs two independent GRUs over a sequence and its reversal and
-// concatenates their final hidden states, matching the paper's optional
-// bidirectional configuration (d = 2 * m * d_h).
-type BiGRU struct {
-	fwd, bwd *GRU
-	lastSeq  *tensor.Matrix
-	revScr   *tensor.Matrix // reused reversed-sequence buffer
-}
-
-// NewBiGRU creates a bidirectional GRU pair.
-func NewBiGRU(rng *rand.Rand, inDim, hidden int) *BiGRU {
-	return &BiGRU{fwd: NewGRU(rng, inDim, hidden), bwd: NewGRU(rng, inDim, hidden)}
-}
-
-// Hidden returns the concatenated output dimension (2 x hidden).
-func (b *BiGRU) Hidden() int { return 2 * b.fwd.hidden }
-
-// Params returns the parameters of both directions.
-func (b *BiGRU) Params() []*Param { return append(b.fwd.Params(), b.bwd.Params()...) }
-
-// ForwardSeq returns the concatenation [h_fwd ; h_bwd] (1 x 2*hidden).
-func (b *BiGRU) ForwardSeq(seq *tensor.Matrix) (*tensor.Matrix, error) {
-	hf, err := b.fwd.ForwardSeq(seq)
-	if err != nil {
-		return nil, err
-	}
-	if b.revScr == nil || b.revScr.Rows() != seq.Rows() || b.revScr.Cols() != seq.Cols() {
-		b.revScr = tensor.New(seq.Rows(), seq.Cols())
-	}
-	reverseRowsInto(b.revScr, seq)
-	hb, err := b.bwd.ForwardSeq(b.revScr)
-	if err != nil {
-		return nil, err
-	}
-	b.lastSeq = seq
-	return tensor.HStack(hf, hb)
-}
-
-// BackwardLast splits the gradient across both directions and returns the
-// combined input-sequence gradient.
-func (b *BiGRU) BackwardLast(dLast *tensor.Matrix) (*tensor.Matrix, error) {
-	if b.lastSeq == nil {
-		return nil, ErrNotReady
-	}
-	h := b.fwd.hidden
-	df, err := dLast.SliceCols(0, h)
-	if err != nil {
-		return nil, err
-	}
-	db, err := dLast.SliceCols(h, 2*h)
-	if err != nil {
-		return nil, err
-	}
-	dSeqF, err := b.fwd.BackwardLast(df)
-	if err != nil {
-		return nil, err
-	}
-	dSeqB, err := b.bwd.BackwardLast(db)
-	if err != nil {
-		return nil, err
-	}
-	dSeqBRev := tensor.Get(dSeqB.Rows(), dSeqB.Cols())
-	reverseRowsInto(dSeqBRev, dSeqB)
-	err = tensor.AddInPlace(dSeqF, dSeqBRev)
-	tensor.Put(dSeqBRev)
-	if err != nil {
-		return nil, err
-	}
-	return dSeqF, nil
-}
-
-func reverseRowsInto(dst, m *tensor.Matrix) {
-	for i := 0; i < m.Rows(); i++ {
-		copy(dst.Row(m.Rows()-1-i), m.Row(i))
-	}
 }

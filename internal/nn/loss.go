@@ -62,45 +62,6 @@ func (l *SoftmaxCrossEntropy) Backward() (*tensor.Matrix, error) {
 	return grad, nil
 }
 
-// MSE is the mean squared error loss, averaged over all elements.
-type MSE struct {
-	pred, target *tensor.Matrix
-}
-
-var _ Loss = (*MSE)(nil)
-
-// NewMSE returns a mean-squared-error loss.
-func NewMSE() *MSE { return &MSE{} }
-
-// Forward implements Loss.
-func (l *MSE) Forward(pred, target *tensor.Matrix) (float64, error) {
-	if pred.Rows() != target.Rows() || pred.Cols() != target.Cols() {
-		return 0, fmt.Errorf("%w: mse %dx%d vs %dx%d",
-			tensor.ErrShape, pred.Rows(), pred.Cols(), target.Rows(), target.Cols())
-	}
-	l.pred, l.target = pred, target
-	var s float64
-	pd, td := pred.Data(), target.Data()
-	for i := range pd {
-		d := pd[i] - td[i]
-		s += d * d
-	}
-	return s / float64(len(pd)), nil
-}
-
-// Backward implements Loss.
-func (l *MSE) Backward() (*tensor.Matrix, error) {
-	if l.pred == nil {
-		return nil, ErrNotReady
-	}
-	grad, err := tensor.Sub(l.pred, l.target)
-	if err != nil {
-		return nil, err
-	}
-	grad.ScaleInPlace(2 / float64(grad.Size()))
-	return grad, nil
-}
-
 // DistillationLoss is the knowledge-distillation objective of Hinton et al.
 // [37]: a convex combination of cross-entropy against the hard labels and
 // KL-style cross-entropy against temperature-softened teacher logits.

@@ -1,6 +1,6 @@
 // Package nn implements the neural-network substrate used throughout this
-// repository: dense layers, activations, dropout, GRU recurrent layers
-// (Eq. 1 of the paper), losses, and a minibatch training loop. Gradients are
+// repository: dense layers, activations, the GRU recurrent layer (Eq. 1 of
+// the paper), losses, and a minibatch training loop. Gradients are
 // computed by hand-written backpropagation; correctness is validated against
 // numerical differentiation in the test suite.
 package nn
@@ -75,8 +75,7 @@ type Optimizer interface {
 // worker pool relies on this).
 type Layer interface {
 	// Forward computes the layer output for input x (batch x features).
-	// train enables training-only behavior such as dropout and the state
-	// caching Backward depends on.
+	// train enables the state caching Backward depends on.
 	Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error)
 	// Backward consumes the gradient of the loss w.r.t. the layer output,
 	// accumulates parameter gradients, and returns the gradient w.r.t. the

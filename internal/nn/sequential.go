@@ -22,15 +22,6 @@ func NewSequential(layers ...Layer) *Sequential {
 // intentional: the compression package rewrites layers in place).
 func (s *Sequential) Layers() []Layer { return s.layers }
 
-// SetLayer replaces layer i; used by compression transforms.
-func (s *Sequential) SetLayer(i int, l Layer) error {
-	if i < 0 || i >= len(s.layers) {
-		return fmt.Errorf("nn: SetLayer index %d of %d layers", i, len(s.layers))
-	}
-	s.layers[i] = l
-	return nil
-}
-
 // Append adds layers to the end of the chain.
 func (s *Sequential) Append(layers ...Layer) { s.layers = append(s.layers, layers...) }
 
@@ -108,13 +99,4 @@ func (s *Sequential) Predict(x *tensor.Matrix) ([]int, error) {
 		preds[i] = out.ArgMaxRow(i)
 	}
 	return preds, nil
-}
-
-// PredictProba runs inference and returns row-wise softmax probabilities.
-func (s *Sequential) PredictProba(x *tensor.Matrix) (*tensor.Matrix, error) {
-	out, err := s.Forward(x, false)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.Softmax(out), nil
 }

@@ -15,8 +15,6 @@ type TrainConfig struct {
 	Optimizer Optimizer
 	Loss      Loss
 	Rng       *rand.Rand
-	// OnEpoch, if non-nil, is invoked after each epoch with the mean batch loss.
-	OnEpoch func(epoch int, loss float64)
 }
 
 func (c *TrainConfig) validate() error {
@@ -49,7 +47,6 @@ func Train(model Layer, x, y *tensor.Matrix, cfg TrainConfig) ([]float64, error)
 	for i := range order {
 		order[i] = i
 	}
-	params := model.Params()
 	losses := make([]float64, 0, cfg.Epochs)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -79,11 +76,7 @@ func Train(model Layer, x, y *tensor.Matrix, cfg TrainConfig) ([]float64, error)
 		}
 		epochLoss /= float64(batches)
 		losses = append(losses, epochLoss)
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, epochLoss)
-		}
 	}
-	_ = params
 	return losses, nil
 }
 
@@ -109,29 +102,6 @@ func TrainStep(model Layer, xb, yb *tensor.Matrix, loss Loss, optimizer Optimize
 	}
 	if err := optimizer.Step(params); err != nil {
 		return 0, fmt.Errorf("optimizer: %w", err)
-	}
-	return l, nil
-}
-
-// GradientsOn computes parameter gradients for one batch without updating,
-// returning the loss. Used by the federated and privacy packages, which
-// aggregate raw gradients rather than stepping locally.
-func GradientsOn(model Layer, xb, yb *tensor.Matrix, loss Loss) (float64, error) {
-	ZeroGrads(model.Params())
-	out, err := model.Forward(xb, true)
-	if err != nil {
-		return 0, fmt.Errorf("forward: %w", err)
-	}
-	l, err := loss.Forward(out, yb)
-	if err != nil {
-		return 0, fmt.Errorf("loss: %w", err)
-	}
-	grad, err := loss.Backward()
-	if err != nil {
-		return 0, err
-	}
-	if _, err := model.Backward(grad); err != nil {
-		return 0, fmt.Errorf("backward: %w", err)
 	}
 	return l, nil
 }

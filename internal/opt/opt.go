@@ -1,7 +1,6 @@
-// Package opt implements the gradient-descent optimizers cited by the paper
-// ([10] Adam, [11] AdaGrad, [12] RMSProp, plus plain/momentum SGD), operating
-// on nn.Param lists, along with learning-rate schedules and global-norm
-// gradient clipping.
+// Package opt implements the two gradient-descent optimizers the training
+// paths use, plain SGD and the paper's Adam [10], operating on nn.Param
+// lists.
 package opt
 
 import (
@@ -15,13 +14,9 @@ import (
 // ErrBadHyper reports an invalid hyperparameter.
 var ErrBadHyper = errors.New("opt: invalid hyperparameter")
 
-// SGD is stochastic gradient descent with optional momentum and weight decay.
+// SGD is plain stochastic gradient descent.
 type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*nn.Param][]float64
+	LR float64
 }
 
 var _ nn.Optimizer = (*SGD)(nil)
@@ -29,36 +24,16 @@ var _ nn.Optimizer = (*SGD)(nil)
 // NewSGD returns plain SGD with learning rate lr.
 func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 
-// NewMomentumSGD returns SGD with classical momentum.
-func NewMomentumSGD(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
-
 // Step implements nn.Optimizer.
 func (s *SGD) Step(params []*nn.Param) error {
 	if s.LR <= 0 {
 		return fmt.Errorf("%w: SGD learning rate %v", ErrBadHyper, s.LR)
 	}
-	if s.Momentum != 0 && s.velocity == nil {
-		s.velocity = make(map[*nn.Param][]float64, len(params))
-	}
 	for _, p := range params {
 		v := p.Value.Data()
 		g := p.Grad.Data()
-		if s.Momentum == 0 {
-			for i := range v {
-				grad := g[i] + s.WeightDecay*v[i]
-				v[i] -= s.LR * grad
-			}
-			continue
-		}
-		vel, ok := s.velocity[p]
-		if !ok {
-			vel = make([]float64, len(v))
-			s.velocity[p] = vel
-		}
 		for i := range v {
-			grad := g[i] + s.WeightDecay*v[i]
-			vel[i] = s.Momentum*vel[i] - s.LR*grad
-			v[i] += vel[i]
+			v[i] -= s.LR * g[i]
 		}
 	}
 	return nil
@@ -111,126 +86,4 @@ func (a *Adam) Step(params []*nn.Param) error {
 		}
 	}
 	return nil
-}
-
-// AdaGrad implements Duchi et al.'s adaptive subgradient method [11].
-type AdaGrad struct {
-	LR, Eps float64
-
-	acc map[*nn.Param][]float64
-}
-
-var _ nn.Optimizer = (*AdaGrad)(nil)
-
-// NewAdaGrad returns AdaGrad with accumulator epsilon 1e-8.
-func NewAdaGrad(lr float64) *AdaGrad { return &AdaGrad{LR: lr, Eps: 1e-8} }
-
-// Step implements nn.Optimizer.
-func (a *AdaGrad) Step(params []*nn.Param) error {
-	if a.LR <= 0 {
-		return fmt.Errorf("%w: AdaGrad learning rate %v", ErrBadHyper, a.LR)
-	}
-	if a.acc == nil {
-		a.acc = make(map[*nn.Param][]float64, len(params))
-	}
-	for _, p := range params {
-		val := p.Value.Data()
-		g := p.Grad.Data()
-		acc, ok := a.acc[p]
-		if !ok {
-			acc = make([]float64, len(val))
-			a.acc[p] = acc
-		}
-		for i := range val {
-			acc[i] += g[i] * g[i]
-			val[i] -= a.LR * g[i] / (math.Sqrt(acc[i]) + a.Eps)
-		}
-	}
-	return nil
-}
-
-// RMSProp implements Tieleman & Hinton's RMSProp [12].
-type RMSProp struct {
-	LR, Decay, Eps float64
-
-	acc map[*nn.Param][]float64
-}
-
-var _ nn.Optimizer = (*RMSProp)(nil)
-
-// NewRMSProp returns RMSProp with decay 0.9 and epsilon 1e-8.
-func NewRMSProp(lr float64) *RMSProp { return &RMSProp{LR: lr, Decay: 0.9, Eps: 1e-8} }
-
-// Step implements nn.Optimizer.
-func (r *RMSProp) Step(params []*nn.Param) error {
-	if r.LR <= 0 || r.Decay <= 0 || r.Decay >= 1 {
-		return fmt.Errorf("%w: RMSProp lr=%v decay=%v", ErrBadHyper, r.LR, r.Decay)
-	}
-	if r.acc == nil {
-		r.acc = make(map[*nn.Param][]float64, len(params))
-	}
-	for _, p := range params {
-		val := p.Value.Data()
-		g := p.Grad.Data()
-		acc, ok := r.acc[p]
-		if !ok {
-			acc = make([]float64, len(val))
-			r.acc[p] = acc
-		}
-		for i := range val {
-			acc[i] = r.Decay*acc[i] + (1-r.Decay)*g[i]*g[i]
-			val[i] -= r.LR * g[i] / (math.Sqrt(acc[i]) + r.Eps)
-		}
-	}
-	return nil
-}
-
-// ClipGlobalNorm rescales all gradients so their joint L2 norm is at most
-// maxNorm and returns the pre-clip norm. A non-positive maxNorm is an error.
-func ClipGlobalNorm(params []*nn.Param, maxNorm float64) (float64, error) {
-	if maxNorm <= 0 {
-		return 0, fmt.Errorf("%w: clip norm %v", ErrBadHyper, maxNorm)
-	}
-	var sq float64
-	for _, p := range params {
-		for _, g := range p.Grad.Data() {
-			sq += g * g
-		}
-	}
-	norm := math.Sqrt(sq)
-	if norm > maxNorm {
-		scale := maxNorm / norm
-		for _, p := range params {
-			p.Grad.ScaleInPlace(scale)
-		}
-	}
-	return norm, nil
-}
-
-// Scheduled wraps an optimizer whose LR field it anneals each step.
-type Scheduled struct {
-	inner    *SGD
-	schedule func(step int) float64
-	step     int
-}
-
-var _ nn.Optimizer = (*Scheduled)(nil)
-
-// NewExponentialDecay wraps sgd so its learning rate decays by factor gamma
-// every interval steps.
-func NewExponentialDecay(sgd *SGD, gamma float64, interval int) *Scheduled {
-	base := sgd.LR
-	return &Scheduled{
-		inner: sgd,
-		schedule: func(step int) float64 {
-			return base * math.Pow(gamma, float64(step/interval))
-		},
-	}
-}
-
-// Step implements nn.Optimizer.
-func (s *Scheduled) Step(params []*nn.Param) error {
-	s.inner.LR = s.schedule(s.step)
-	s.step++
-	return s.inner.Step(params)
 }

@@ -1,8 +1,7 @@
 // Package privacy implements the differential-privacy machinery of Section
-// II-C: Laplace and Gaussian output-perturbation mechanisms, L2 clipping,
-// the moments accountant of Abadi et al. [20], DP-SGD, the user-level
-// DP-FedAvg of McMahan et al. [22], and the sparse vector technique used by
-// Shokri & Shmatikov [16].
+// II-C that the training and split-inference paths use: Gaussian noise, L2
+// clipping, input nullification, the moments accountant of Abadi et al.
+// [20], and the user-level DP-FedAvg of McMahan et al. [22].
 //
 // # DP-FedAvg
 //

@@ -31,11 +31,8 @@ type DPFedAvgConfig struct {
 	Clip        float64
 	Sigma       float64
 	Seed        int64
-	// Workers sizes the client-training worker pool (0 = GOMAXPROCS). Like
-	// RunFedAvg, results are identical for any worker count.
-	Workers   int
-	Eval      func(model *nn.Sequential) (float64, error)
-	EvalEvery int
+	Eval        func(model *nn.Sequential) (float64, error)
+	EvalEvery   int
 }
 
 func (c *DPFedAvgConfig) validate(numClients int) error {
@@ -121,7 +118,8 @@ func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, cla
 			seeds = append(seeds, rng.Int63())
 		}
 		participating := len(selected)
-		updates, err := federated.FanOut(trainer, shards, round, selected, globalVals, seeds, cfg.Workers)
+		// A GOMAXPROCS-sized pool; the result is the same for any size.
+		updates, err := federated.FanOut(trainer, shards, round, selected, globalVals, seeds, 0)
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}

@@ -3,7 +3,6 @@ package privacy
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"mobiledl/internal/tensor"
@@ -11,49 +10,6 @@ import (
 
 // ErrBudget reports an invalid privacy parameter.
 var ErrBudget = errors.New("privacy: invalid privacy parameter")
-
-// LaplaceNoise draws one Laplace(0, scale) sample via inverse-CDF.
-func LaplaceNoise(rng *rand.Rand, scale float64) float64 {
-	u := rng.Float64() - 0.5
-	return -scale * math.Copysign(math.Log(1-2*math.Abs(u)), u)
-}
-
-// LaplaceMechanism perturbs m in place to achieve ε-DP for a query with the
-// given L1 sensitivity: noise scale b = sensitivity / ε.
-func LaplaceMechanism(rng *rand.Rand, m *tensor.Matrix, sensitivity, epsilon float64) error {
-	if epsilon <= 0 || sensitivity <= 0 {
-		return fmt.Errorf("%w: laplace sensitivity=%v epsilon=%v", ErrBudget, sensitivity, epsilon)
-	}
-	scale := sensitivity / epsilon
-	d := m.Data()
-	for i := range d {
-		d[i] += LaplaceNoise(rng, scale)
-	}
-	return nil
-}
-
-// GaussianSigma returns the noise standard deviation that makes the Gaussian
-// mechanism (ε, δ)-DP for a query with the given L2 sensitivity:
-// σ = sqrt(2 ln(1.25/δ)) * sensitivity / ε (the classical analytic bound,
-// valid for ε ≤ 1).
-func GaussianSigma(sensitivity, epsilon, delta float64) (float64, error) {
-	if epsilon <= 0 || delta <= 0 || delta >= 1 || sensitivity <= 0 {
-		return 0, fmt.Errorf("%w: gaussian sensitivity=%v epsilon=%v delta=%v",
-			ErrBudget, sensitivity, epsilon, delta)
-	}
-	return math.Sqrt(2*math.Log(1.25/delta)) * sensitivity / epsilon, nil
-}
-
-// GaussianMechanism perturbs m in place with N(0, σ²) noise calibrated for
-// (ε, δ)-DP at the given L2 sensitivity.
-func GaussianMechanism(rng *rand.Rand, m *tensor.Matrix, sensitivity, epsilon, delta float64) error {
-	sigma, err := GaussianSigma(sensitivity, epsilon, delta)
-	if err != nil {
-		return err
-	}
-	AddGaussian(rng, m, sigma)
-	return nil
-}
 
 // AddGaussian adds N(0, sigma²) noise to every element of m in place.
 func AddGaussian(rng *rand.Rand, m *tensor.Matrix, sigma float64) {
@@ -64,8 +20,8 @@ func AddGaussian(rng *rand.Rand, m *tensor.Matrix, sigma float64) {
 }
 
 // ClipL2 rescales m in place so its Frobenius norm is at most bound,
-// returning the pre-clip norm. This is the per-example gradient clipping of
-// DP-SGD [20] and the update bounding of DP-FedAvg [22].
+// returning the pre-clip norm: the bounding step of the split-inference
+// perturbation (Section III-A).
 func ClipL2(m *tensor.Matrix, bound float64) (float64, error) {
 	if bound <= 0 {
 		return 0, fmt.Errorf("%w: clip bound %v", ErrBudget, bound)

@@ -13,54 +13,14 @@ import (
 	"mobiledl/internal/tensor"
 )
 
-func TestLaplaceNoiseDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 20000
-	scale := 2.0
-	var sum, sumAbs float64
-	for i := 0; i < n; i++ {
-		v := LaplaceNoise(rng, scale)
-		sum += v
-		sumAbs += math.Abs(v)
-	}
-	if mean := sum / n; math.Abs(mean) > 0.1 {
-		t.Fatalf("laplace mean %v, want ~0", mean)
-	}
-	// E|X| = scale for Laplace(0, scale).
-	if meanAbs := sumAbs / n; math.Abs(meanAbs-scale) > 0.1 {
-		t.Fatalf("laplace E|X| %v, want %v", meanAbs, scale)
-	}
-}
-
 func TestMechanismValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := tensor.New(2, 2)
-	if err := LaplaceMechanism(rng, m, 1, 0); !errors.Is(err, ErrBudget) {
-		t.Fatal("want ErrBudget for epsilon=0")
-	}
-	if err := GaussianMechanism(rng, m, 1, 1, 0); !errors.Is(err, ErrBudget) {
-		t.Fatal("want ErrBudget for delta=0")
-	}
 	if _, err := ClipL2(m, 0); !errors.Is(err, ErrBudget) {
 		t.Fatal("want ErrBudget for clip bound 0")
 	}
 	if _, err := Nullification(rng, m, 2); !errors.Is(err, ErrBudget) {
 		t.Fatal("want ErrBudget for rate 2")
-	}
-}
-
-func TestGaussianSigmaScaling(t *testing.T) {
-	s1, err := GaussianSigma(1, 1, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := GaussianSigma(1, 2, 1e-5)
-	if s2 >= s1 {
-		t.Fatal("sigma must shrink as epsilon grows")
-	}
-	s3, _ := GaussianSigma(2, 1, 1e-5)
-	if math.Abs(s3-2*s1) > 1e-12 {
-		t.Fatal("sigma must scale linearly with sensitivity")
 	}
 }
 
@@ -202,58 +162,6 @@ func TestAccountantEpsilonIncreasesWithQProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func dpsgdSetup(t *testing.T) (*nn.Sequential, *tensor.Matrix, []int) {
-	t.Helper()
-	fb, err := data.GenerateFedBench(data.FedBenchConfig{Samples: 200, Classes: 2, Dim: 5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	model := nn.NewSequential(nn.NewDense(rng, 5, 8), nn.NewReLU(), nn.NewDense(rng, 8, 2))
-	return model, fb.X, fb.Labels
-}
-
-func TestDPSGDTrainsAndAccounts(t *testing.T) {
-	model, x, labels := dpsgdSetup(t)
-	res, err := TrainDPSGD(model, x, labels, 2, DPSGDConfig{
-		Epochs: 3, LotSize: 20, LR: 0.2, Clip: 1.0, Sigma: 1.0, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accountant.Steps() == 0 {
-		t.Fatal("accountant recorded no steps")
-	}
-	eps, err := res.Accountant.Epsilon(1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eps <= 0 || math.IsInf(eps, 0) {
-		t.Fatalf("bad epsilon %v", eps)
-	}
-	// The model should still learn something despite the noise.
-	preds, err := model.Predict(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i, p := range preds {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	if acc := float64(correct) / float64(len(labels)); acc < 0.7 {
-		t.Fatalf("DP-SGD accuracy %v, want >= 0.7", acc)
-	}
-}
-
-func TestDPSGDValidation(t *testing.T) {
-	model, x, labels := dpsgdSetup(t)
-	if _, err := TrainDPSGD(model, x, labels, 2, DPSGDConfig{}); !errors.Is(err, ErrBudget) {
-		t.Fatal("want ErrBudget for zero config")
 	}
 }
 
@@ -402,43 +310,5 @@ func TestDPFedAvgValidation(t *testing.T) {
 		Rounds: 1, P: 0.5, LocalEpochs: 1, LocalLR: 0.1, Clip: 1,
 	}); !errors.Is(err, ErrBudget) {
 		t.Fatal("want ErrBudget for no clients")
-	}
-}
-
-func TestSparseVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	sv, err := NewSparseVector(rng, 10, 1, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Values far above threshold should mostly answer true; far below false.
-	above, err := sv.Query(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !above {
-		t.Fatal("value far above threshold answered false")
-	}
-	below, err := sv.Query(-100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if below {
-		t.Fatal("value far below threshold answered true")
-	}
-	// Exhaust the budget.
-	for i := 0; i < 2; i++ {
-		if _, err := sv.Query(100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sv.PositivesUsed() != 3 {
-		t.Fatalf("positives used %d, want 3", sv.PositivesUsed())
-	}
-	if _, err := sv.Query(100); !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("want ErrBudgetExhausted, got %v", err)
-	}
-	if _, err := NewSparseVector(rng, 0, 1, 0, 1); !errors.Is(err, ErrBudget) {
-		t.Fatal("want ErrBudget for epsilon=0")
 	}
 }

@@ -270,9 +270,6 @@ func NewCascadeBackend(cascade *split.EarlyExit) (*CascadeBackend, error) {
 	}, nil
 }
 
-// Cascade exposes the wrapped early-exit cascade.
-func (b *CascadeBackend) Cascade() *split.EarlyExit { return b.cascade }
-
 // Describe implements Backend.
 func (b *CascadeBackend) Describe() BackendInfo { return b.info }
 

@@ -24,13 +24,13 @@ type BatcherConfig struct {
 	MaxDelay time.Duration
 	// Workers sizes the execution pool (default GOMAXPROCS).
 	Workers int
-	// QueueCap bounds the submit channel. A full queue sheds: Submit fails
+	// QueueCap bounds the submit channel. A full queue sheds: submit fails
 	// fast with ErrOverloaded instead of queueing work whose caller will
 	// time out before it runs (default max(4*MaxBatch, 1024) — one
 	// max-size HTTP fan-out fits without shedding).
 	QueueCap int
 	// MaxInflight caps admitted-but-unanswered requests (queued plus
-	// executing); past it Submit fails fast with ErrOverloaded. Zero means
+	// executing); past it submit fails fast with ErrOverloaded. Zero means
 	// DefaultMaxInflight; negative disables the cap.
 	MaxInflight int
 }
@@ -115,7 +115,7 @@ type Batcher struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.RWMutex // guards closed vs in-flight Submit sends
+	mu     sync.RWMutex // guards closed vs in-flight submit sends
 	closed bool
 	wg     sync.WaitGroup // collector + workers
 
@@ -169,19 +169,14 @@ func (b *Batcher) Inflight() int64 { return b.inflight.Load() }
 // QueueDepth reports requests sitting in the admission queue.
 func (b *Batcher) QueueDepth() int { return len(b.in) }
 
-// Submit enqueues one feature row with its request options and blocks until
+// submit enqueues one feature row with its request options and blocks until
 // the result is ready, ctx is done, or the batcher closes. Admission fails
 // fast: a full queue or inflight cap returns ErrOverloaded immediately so
 // overloaded servers shed instead of stacking up doomed work. ctx rides
 // with the request — if it expires while the row is still queued, the row
-// is answered with ctx.Err() and never reaches the backend.
-func (b *Batcher) Submit(ctx context.Context, features []float64, opts RequestOptions) (Result, error) {
-	return b.submit(ctx, features, opts, trace.SpanFrom(ctx))
-}
-
-// submit is Submit with the request's trace span already extracted — the
-// Runtime path resolves the span once and shares it between the batcher and
-// its own post-response span materialization.
+// is answered with ctx.Err() and never reaches the backend. span is the
+// request's trace span, which the Runtime resolves once and shares between
+// the batcher and its own post-response span materialization.
 func (b *Batcher) submit(ctx context.Context, features []float64, opts RequestOptions, span trace.Span) (Result, error) {
 	if len(features) != b.dim {
 		return Result{}, fmt.Errorf("%w: got %d features, model expects %d", ErrRequest, len(features), b.dim)
@@ -251,7 +246,7 @@ func (b *Batcher) reply(r *request, resp response) {
 // requests, and waits for workers. Requests still queued are served by the
 // shipped (cancellation-ignoring) backends; a backend that honors the
 // context may instead abort them with its cancellation error, which is what
-// keeps a hung external backend from wedging shutdown. Submit after Close
+// keeps a hung external backend from wedging shutdown. submit after Close
 // returns ErrClosed.
 func (b *Batcher) Close() {
 	b.mu.Lock()

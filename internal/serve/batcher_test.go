@@ -14,6 +14,7 @@ import (
 
 	"mobiledl/internal/leakcheck"
 	"mobiledl/internal/tensor"
+	"mobiledl/internal/trace"
 )
 
 // echoExec returns each row's first feature as its class and records the
@@ -398,4 +399,9 @@ func TestBatcherAnswersExactlyOnce(t *testing.T) {
 			t.Errorf("seed %d %+v: %s", seed, cfg, msg)
 		}
 	}
+}
+
+// Submit is submit with the span taken from ctx.
+func (b *Batcher) Submit(ctx context.Context, features []float64, opts RequestOptions) (Result, error) {
+	return b.submit(ctx, features, opts, trace.SpanFrom(ctx))
 }

@@ -80,10 +80,11 @@ type regEntry struct {
 	history map[int]*Loaded // last VersionHistory versions, incl. current
 }
 
-// Registry names, versions, and hot-swaps serving backends. Register/Load/
-// Install take a write path guarded per entry; Get is a lock-free atomic
-// load so the serving hot path never contends with swaps. A bounded history
-// of past versions stays resolvable for version-pinned requests.
+// Registry names, versions, and hot-swaps serving backends. Register,
+// LoadCompressed and Install take a write path guarded per entry; Get is a
+// lock-free atomic load so the serving hot path never contends with swaps. A
+// bounded history of past versions stays resolvable for version-pinned
+// requests.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*regEntry
@@ -227,7 +228,7 @@ func (r *Registry) installRecovered(e *regEntry, rec PublishRecord, b Backend) e
 
 // Register declares a model name and its architecture factory. Registering
 // an existing name is an error (architectures are fixed per name; new
-// weights arrive via Load).
+// weights arrive via Install or LoadCompressed).
 func (r *Registry) Register(name string, factory Factory) error {
 	if name == "" || factory == nil {
 		return fmt.Errorf("%w: register needs a name and factory", ErrServe)
@@ -251,19 +252,8 @@ func (r *Registry) entry(name string) (*regEntry, error) {
 	return e, nil
 }
 
-// Load builds a fresh backend from the factory, decodes an nn.EncodeWeights
-// blob into its parameters, and atomically installs it as the new current
-// version. Only Param-bearing backends (dense, cascade) load; in-flight
-// batches keep the version they started with.
-func (r *Registry) Load(name string, weights []byte) (int, error) {
-	e, b, err := r.buildLoaded(name, weights)
-	if err != nil {
-		return 0, err
-	}
-	return r.install(e, name, b, nil, nil)
-}
-
-// LoadCompressed loads weights like Load, then pushes the model through the
+// LoadCompressed builds a fresh backend from the factory, decodes an
+// nn.EncodeWeights blob into its parameters, then pushes the model through the
 // Deep Compression pipeline and installs the reconstructed (pruned +
 // quantized) network, recording the stage sizes. Only dense backends
 // compress; cascades keep their privacy-calibrated halves intact and

@@ -216,8 +216,8 @@ func TestRegistryCascadeRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("loaded backend is %T, want *CascadeBackend", got.Backend)
 	}
-	want := src.(*CascadeBackend).Cascade().Exit.Params()[0].Value
-	have := cb.Cascade().Exit.Params()[0].Value
+	want := src.(*CascadeBackend).cascade.Exit.Params()[0].Value
+	have := cb.cascade.Exit.Params()[0].Value
 	if !have.Equal(want, 0) {
 		t.Fatal("cascade exit weights did not round-trip")
 	}
@@ -303,4 +303,16 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := reg.Install("bad", nil); !errors.Is(err, ErrServe) {
 		t.Fatalf("install nil backend: %v", err)
 	}
+}
+
+// Load builds a fresh backend from the factory, decodes an nn.EncodeWeights
+// blob into its parameters, and atomically installs it as the new current
+// version. Only Param-bearing backends (dense, cascade) load; in-flight
+// batches keep the version they started with.
+func (r *Registry) Load(name string, weights []byte) (int, error) {
+	e, b, err := r.buildLoaded(name, weights)
+	if err != nil {
+		return 0, err
+	}
+	return r.install(e, name, b, nil, nil)
 }

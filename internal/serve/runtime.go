@@ -28,7 +28,7 @@ type RuntimeConfig struct {
 	// Tracer, when set, samples predict calls into traces (nil disables
 	// tracing at near-zero cost). Requests arriving with a span already in
 	// ctx (the HTTP layer's traceparent path) are traced regardless.
-	Tracer *trace.Tracer
+	Tracer *trace.Tracer //nolint:deadexport // test seam: the module root's trace-overhead test
 	// Logger receives structured serving logs (batch failures); nil means
 	// slog.Default().
 	Logger *slog.Logger

@@ -135,9 +135,6 @@ func (s *Server) StartDrain() {
 	}
 }
 
-// Draining reports whether StartDrain (or Close) has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close marks the server draining, closes every attached runtime (draining
 // their in-flight batches), then releases the registry's retained backends
 // via Registry.Close — the shutdown path for resource-holding Backend

@@ -324,11 +324,11 @@ func TestHealthzDraining(t *testing.T) {
 		}
 	}
 	check(http.StatusOK, "ok")
-	if srv.Draining() {
+	if srv.draining.Load() {
 		t.Fatal("fresh server reports draining")
 	}
 	srv.StartDrain()
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Fatal("StartDrain did not mark draining")
 	}
 	check(http.StatusServiceUnavailable, "draining")

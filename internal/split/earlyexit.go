@@ -2,7 +2,6 @@ package split
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mobiledl/internal/nn"
 	"mobiledl/internal/tensor"
@@ -56,36 +55,14 @@ func (e *EarlyExit) TrainExit(x *tensor.Matrix, labels []int, classes int, cfg T
 	return err
 }
 
-// ExitStats summarizes one cascade evaluation.
-type ExitStats struct {
-	Total      int
-	LocalExits int
-	Offloaded  int
-	Accuracy   float64
-	// LocalFraction is LocalExits / Total.
-	LocalFraction float64
-}
-
-// ExitLocally evaluates the exit classifier over a clean local
-// representation. It returns per-row predictions (meaningful only for rows
-// that exit) and the indices of rows whose confidence misses the threshold
-// and must be offloaded to the cloud. This is the device half of the
-// cascade; serving executors use it to short-circuit whole batches without
-// touching the network when every row exits.
-func (e *EarlyExit) ExitLocally(rep *tensor.Matrix) (preds []int, offload []int, err error) {
-	// Softmax into pooled scratch: the probabilities are consumed before the
-	// buffer is recycled, so the serving hot path sheds one garbage matrix
-	// per batch.
-	probs := tensor.Get(rep.Rows(), e.ExitClasses())
-	defer tensor.Put(probs)
-	return e.ExitLocallyInto(probs, rep)
-}
-
-// ExitLocallyInto is ExitLocally with the exit classifier's softmax written
-// into a caller-supplied probs matrix (rep.Rows() x ExitClasses()). Serving
-// backends use it to reuse the confidence distribution — e.g. for top-K
-// probability reporting — without a second forward pass. probs may be pooled
-// scratch; it is fully overwritten.
+// ExitLocallyInto evaluates the exit classifier over a clean local
+// representation, the device half of the cascade. It returns per-row
+// predictions (meaningful only for rows that exit) and the indices of rows
+// whose confidence misses the threshold and must be offloaded to the cloud.
+// The classifier's softmax lands in the caller-supplied probs matrix
+// (rep.Rows() x ExitClasses()), so serving backends reuse the confidence
+// distribution — e.g. for top-K probability reporting — without a second
+// forward pass. probs may be pooled scratch; it is fully overwritten.
 func (e *EarlyExit) ExitLocallyInto(probs, rep *tensor.Matrix) (preds []int, offload []int, err error) {
 	out, err := e.Exit.Forward(rep, false)
 	if err != nil {
@@ -116,60 +93,4 @@ func (e *EarlyExit) ExitClasses() int {
 		}
 	}
 	return classes
-}
-
-// Predict classifies one batch through the cascade, reporting per-sample
-// predictions and where each was answered. Offloaded samples go through the
-// pipeline's privacy perturbation exactly like plain split inference.
-func (e *EarlyExit) Predict(rng *rand.Rand, x *tensor.Matrix) ([]int, []bool, error) {
-	rep, err := e.Pipeline.TransformClean(x)
-	if err != nil {
-		return nil, nil, err
-	}
-	preds, offloadIdx, err := e.ExitLocally(rep)
-	if err != nil {
-		return nil, nil, err
-	}
-	local := make([]bool, x.Rows())
-	for i := range local {
-		local[i] = true
-	}
-	if len(offloadIdx) > 0 {
-		sub, err := rep.SelectRows(offloadIdx)
-		if err != nil {
-			return nil, nil, err
-		}
-		cloudPreds, err := e.Pipeline.CloudPredictRep(rng, sub)
-		if err != nil {
-			return nil, nil, err
-		}
-		for k, i := range offloadIdx {
-			preds[i] = cloudPreds[k]
-			local[i] = false
-		}
-	}
-	return preds, local, nil
-}
-
-// Evaluate runs the cascade over labeled data and reports accuracy plus the
-// local-exit fraction (the communication saving vs always offloading).
-func (e *EarlyExit) Evaluate(rng *rand.Rand, x *tensor.Matrix, labels []int) (ExitStats, error) {
-	preds, local, err := e.Predict(rng, x)
-	if err != nil {
-		return ExitStats{}, err
-	}
-	stats := ExitStats{Total: len(preds)}
-	correct := 0
-	for i, p := range preds {
-		if p == labels[i] {
-			correct++
-		}
-		if local[i] {
-			stats.LocalExits++
-		}
-	}
-	stats.Offloaded = stats.Total - stats.LocalExits
-	stats.Accuracy = float64(correct) / float64(stats.Total)
-	stats.LocalFraction = float64(stats.LocalExits) / float64(stats.Total)
-	return stats, nil
 }

@@ -152,3 +152,89 @@ func TestExitLocallyIntoExposesConfidences(t *testing.T) {
 		}
 	}
 }
+
+// The whole-cascade helpers below exist for the tests: serving runs the
+// cascade's halves itself (serve.CascadeBackend), and these compose the same
+// halves — TransformClean, ExitLocallyInto, Perturb — end to end.
+
+// ExitStats summarizes one cascade evaluation.
+type ExitStats struct {
+	Total      int
+	LocalExits int
+	Offloaded  int
+	Accuracy   float64
+	// LocalFraction is LocalExits / Total.
+	LocalFraction float64
+}
+
+// Evaluate runs the cascade over labeled data and reports accuracy plus the
+// local-exit fraction (the communication saving vs always offloading).
+func (e *EarlyExit) Evaluate(rng *rand.Rand, x *tensor.Matrix, labels []int) (ExitStats, error) {
+	preds, local, err := e.Predict(rng, x)
+	if err != nil {
+		return ExitStats{}, err
+	}
+	stats := ExitStats{Total: len(preds)}
+	correct := 0
+	for i, p := range preds {
+		if p == labels[i] {
+			correct++
+		}
+		if local[i] {
+			stats.LocalExits++
+		}
+	}
+	stats.Offloaded = stats.Total - stats.LocalExits
+	stats.Accuracy = float64(correct) / float64(stats.Total)
+	stats.LocalFraction = float64(stats.LocalExits) / float64(stats.Total)
+	return stats, nil
+}
+
+// Predict classifies one batch through the cascade, reporting per-sample
+// predictions and where each was answered. Offloaded samples go through the
+// pipeline's privacy perturbation exactly like plain split inference.
+func (e *EarlyExit) Predict(rng *rand.Rand, x *tensor.Matrix) ([]int, []bool, error) {
+	rep, err := e.Pipeline.TransformClean(x)
+	if err != nil {
+		return nil, nil, err
+	}
+	preds, offloadIdx, err := e.ExitLocally(rep)
+	if err != nil {
+		return nil, nil, err
+	}
+	local := make([]bool, x.Rows())
+	for i := range local {
+		local[i] = true
+	}
+	if len(offloadIdx) > 0 {
+		sub, err := rep.SelectRows(offloadIdx)
+		if err != nil {
+			return nil, nil, err
+		}
+		cloudPreds, err := e.Pipeline.CloudPredictRep(rng, sub)
+		if err != nil {
+			return nil, nil, err
+		}
+		for k, i := range offloadIdx {
+			preds[i] = cloudPreds[k]
+			local[i] = false
+		}
+	}
+	return preds, local, nil
+}
+
+// ExitLocally is ExitLocallyInto over a freshly allocated probs matrix.
+func (e *EarlyExit) ExitLocally(rep *tensor.Matrix) (preds []int, offload []int, err error) {
+	return e.ExitLocallyInto(tensor.New(rep.Rows(), e.ExitClasses()), rep)
+}
+
+// CloudPredictRep perturbs an already-computed clean local representation
+// and classifies it with the cloud network — the upload+server half of the
+// split placement when the device half has already run.
+func (p *Pipeline) CloudPredictRep(rng *rand.Rand, rep *tensor.Matrix) ([]int, error) {
+	pert, err := p.Perturb(rng, rep)
+	if err != nil {
+		return nil, err
+	}
+	return p.Cloud.Predict(pert)
+}

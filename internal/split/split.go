@@ -106,9 +106,9 @@ func (p *Pipeline) Perturb(rng *rand.Rand, rep *tensor.Matrix) (*tensor.Matrix, 
 
 // TransformClean runs the local network without perturbation (used for the
 // non-private baseline and for noisy-training data synthesis). The result
-// never aliases x: pass-through layer stacks (e.g. dropout-only locals,
-// whose inference Forward returns its input) are cloned, so callers that
-// recycle x — the serving batcher pools its batch matrices — stay safe.
+// never aliases x: a pass-through local network (one with no layers returns
+// its input) is cloned, so callers that recycle x — the serving batcher
+// pools its batch matrices — stay safe.
 func (p *Pipeline) TransformClean(x *tensor.Matrix) (*tensor.Matrix, error) {
 	h, err := p.Local.Forward(x, false)
 	if err != nil {
@@ -146,17 +146,6 @@ func (p *Pipeline) Predict(rng *rand.Rand, x *tensor.Matrix) ([]int, error) {
 		return nil, err
 	}
 	return p.Cloud.Predict(rep)
-}
-
-// CloudPredictRep perturbs an already-computed clean local representation
-// and classifies it with the cloud network — the upload+server half of the
-// split placement when the device half has already run.
-func (p *Pipeline) CloudPredictRep(rng *rand.Rand, rep *tensor.Matrix) ([]int, error) {
-	pert, err := p.Perturb(rng, rep)
-	if err != nil {
-		return nil, err
-	}
-	return p.Cloud.Predict(pert)
 }
 
 // RepDim returns the width of the local representation (the last Dense

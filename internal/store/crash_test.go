@@ -101,7 +101,7 @@ func TestKillRecoverMatrix(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				dir := t.TempDir()
 				fp := &Failpoints{}
-				st := openT(t, Options{Dir: dir, Failpoints: fp})
+				st := openT(t, Options{Dir: dir, failpoints: fp})
 				reg := newCrashRegistry(t, st)
 				tc.arm(fp, point)
 				for v := 1; v <= n; v++ {
@@ -151,7 +151,7 @@ func TestKillRecoverMatrix(t *testing.T) {
 func TestKillRecoverSkipsLostVersionInHistory(t *testing.T) {
 	dir := t.TempDir()
 	fp := &Failpoints{}
-	st := openT(t, Options{Dir: dir, Failpoints: fp})
+	st := openT(t, Options{Dir: dir, failpoints: fp})
 	reg := newCrashRegistry(t, st)
 	fp.FailWrite(2)
 	for v := 1; v <= 4; v++ {
@@ -177,7 +177,7 @@ func TestKillRecoverSkipsLostVersionInHistory(t *testing.T) {
 func TestRegistryDegradesAndRecoversWithRealStore(t *testing.T) {
 	dir := t.TempDir()
 	fp := &Failpoints{}
-	st := openT(t, Options{Dir: dir, Failpoints: fp})
+	st := openT(t, Options{Dir: dir, failpoints: fp})
 	reg := newCrashRegistry(t, st)
 
 	publishVersion(t, reg, 1)

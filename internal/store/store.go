@@ -47,13 +47,13 @@ type Options struct {
 	// CompactEvery triggers a snapshot compaction after this many appends
 	// (default 64; negative disables compaction).
 	CompactEvery int
-	// Failpoints, when set, injects faults at the I/O seam (tests only).
-	Failpoints *Failpoints
 	// Tracer, when set, samples appends and the boot recovery into traces
 	// (store.append / store.recover spans). Nil disables.
 	Tracer *trace.Tracer
 	// Logger receives structured store logs; nil means slog.Default().
 	Logger *slog.Logger
+	// failpoints, when set, injects faults at the I/O seam (tests only).
+	failpoints *Failpoints
 }
 
 func (o *Options) fill() {
@@ -314,7 +314,7 @@ func (s *Store) append(rec record) error {
 // every later append) rather than write past damage replay would cut at.
 func (s *Store) writeDurable(fr []byte) error {
 	off := s.walSize
-	switch s.opts.Failpoints.onWrite() {
+	switch s.opts.failpoints.onWrite() {
 	case faultFull:
 		return errInjectedFull
 	case faultWrite:
@@ -345,7 +345,7 @@ func (s *Store) writeDurable(fr []byte) error {
 }
 
 func (s *Store) syncWAL() error {
-	if s.opts.Failpoints.onFsync() {
+	if s.opts.failpoints.onFsync() {
 		return errInjectedFsync
 	}
 	if s.opts.NoSync {
@@ -440,19 +440,6 @@ func (s *Store) maybeCompactLocked() {
 		s.stats.CompactionErrors++
 		s.logger.Warn("store compaction failed; WAL grows until one succeeds", "err", err)
 	}
-}
-
-// Compact forces a snapshot compaction: the retained state is written to a
-// fresh snapshot (tmp + rename + dir sync) and the WAL resets to empty. A
-// crash at any point leaves either the old snapshot + full WAL or the new
-// snapshot (+ a WAL whose records double-apply harmlessly).
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.compactLocked()
 }
 
 func (s *Store) compactLocked() error {

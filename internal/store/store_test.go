@@ -290,7 +290,7 @@ func TestCheckpointLatestWins(t *testing.T) {
 
 func TestFailpointWriteIsCleanOneShot(t *testing.T) {
 	fp := &Failpoints{}
-	s := openT(t, Options{Dir: t.TempDir(), Failpoints: fp})
+	s := openT(t, Options{Dir: t.TempDir(), failpoints: fp})
 	mustAppend(t, s, pub("m", 1, 1))
 	fp.FailWrite(1)
 	if err := s.AppendPublish(pub("m", 2, 2)); !errors.Is(err, ErrInjected) {
@@ -309,7 +309,7 @@ func TestFailpointWriteIsCleanOneShot(t *testing.T) {
 func TestFailpointFsyncUndoesFrame(t *testing.T) {
 	dir := t.TempDir()
 	fp := &Failpoints{}
-	s := openT(t, Options{Dir: dir, Failpoints: fp})
+	s := openT(t, Options{Dir: dir, failpoints: fp})
 	mustAppend(t, s, pub("m", 1, 1))
 	before, _ := os.Stat(filepath.Join(dir, walFile))
 	fp.FailFsync(1)
@@ -332,7 +332,7 @@ func TestFailpointFsyncUndoesFrame(t *testing.T) {
 func TestFailpointTornBricksAppends(t *testing.T) {
 	dir := t.TempDir()
 	fp := &Failpoints{}
-	s := openT(t, Options{Dir: dir, Failpoints: fp})
+	s := openT(t, Options{Dir: dir, failpoints: fp})
 	mustAppend(t, s, pub("m", 1, 1))
 	fp.TearWrite(1)
 	if err := s.AppendPublish(pub("m", 2, 2)); !errors.Is(err, ErrInjected) {
@@ -357,7 +357,7 @@ func TestFailpointTornBricksAppends(t *testing.T) {
 func TestFailpointCorruptCRCIsLatent(t *testing.T) {
 	dir := t.TempDir()
 	fp := &Failpoints{}
-	s := openT(t, Options{Dir: dir, Failpoints: fp})
+	s := openT(t, Options{Dir: dir, failpoints: fp})
 	mustAppend(t, s, pub("m", 1, 1))
 	fp.CorruptCRC(1)
 	// The damage is silent: the append reports success.
@@ -371,7 +371,7 @@ func TestFailpointCorruptCRCIsLatent(t *testing.T) {
 
 func TestDiskFullDegradesAndRecovers(t *testing.T) {
 	fp := &Failpoints{}
-	s := openT(t, Options{Dir: t.TempDir(), Failpoints: fp})
+	s := openT(t, Options{Dir: t.TempDir(), failpoints: fp})
 	mustAppend(t, s, pub("m", 1, 1))
 	fp.SetDiskFull(true)
 	for v := 2; v <= 4; v++ {
@@ -411,4 +411,17 @@ func TestOpenRequiresDir(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open without Dir succeeded")
 	}
+}
+
+// Compact forces a snapshot compaction: the retained state is written to a
+// fresh snapshot (tmp + rename + dir sync) and the WAL resets to empty. A
+// crash at any point leaves either the old snapshot + full WAL or the new
+// snapshot (+ a WAL whose records double-apply harmlessly).
+func (s *Store) Compact() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	return s.compactLocked()
 }

@@ -53,6 +53,8 @@ func New(rows, cols int) *Matrix {
 
 // FromSlice builds a rows x cols matrix backed by a copy of data
 // (len(data) must equal rows*cols).
+//
+//nolint:deadexport // test seam: compress, nn, opt and privacy tests
 func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
 	if len(data) != rows*cols {
 		return nil, fmt.Errorf("%w: FromSlice got %d values for %dx%d", ErrShape, len(data), rows, cols)
@@ -76,13 +78,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 		copy(m.data[i*cols:(i+1)*cols], r)
 	}
 	return m, nil
-}
-
-// RowVector returns a 1 x len(v) matrix copying v.
-func RowVector(v []float64) *Matrix {
-	m := New(1, len(v))
-	copy(m.data, v)
-	return m
 }
 
 // Rows returns the number of rows.
@@ -146,15 +141,6 @@ func (m *Matrix) Fill(v float64) {
 	}
 }
 
-// Reshape returns a new matrix header with the given dimensions sharing the
-// same backing storage. rows*cols must equal the current size.
-func (m *Matrix) Reshape(rows, cols int) (*Matrix, error) {
-	if rows*cols != m.rows*m.cols {
-		return nil, fmt.Errorf("%w: Reshape %dx%d -> %dx%d", ErrShape, m.rows, m.cols, rows, cols)
-	}
-	return &Matrix{rows: rows, cols: cols, data: m.data}, nil
-}
-
 // T returns the transpose as a newly allocated matrix.
 func (m *Matrix) T() *Matrix {
 	t := New(m.cols, m.rows)
@@ -169,6 +155,8 @@ func (m *Matrix) T() *Matrix {
 
 // Equal reports whether m and other have identical shape and elements
 // within tolerance tol.
+//
+//nolint:deadexport // test seam: the tests of eleven packages compare matrices with it
 func (m *Matrix) Equal(other *Matrix, tol float64) bool {
 	if m.rows != other.rows || m.cols != other.cols {
 		return false

@@ -52,18 +52,6 @@ func sameShape(op string, a, b *Matrix) error {
 	return nil
 }
 
-// Add returns a + b.
-func Add(a, b *Matrix) (*Matrix, error) {
-	if err := sameShape("Add", a, b); err != nil {
-		return nil, err
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out, nil
-}
-
 // Sub returns a - b.
 func Sub(a, b *Matrix) (*Matrix, error) {
 	if err := sameShape("Sub", a, b); err != nil {
@@ -72,18 +60,6 @@ func Sub(a, b *Matrix) (*Matrix, error) {
 	out := a.Clone()
 	for i, v := range b.data {
 		out.data[i] -= v
-	}
-	return out, nil
-}
-
-// Mul returns the elementwise (Hadamard) product a ⊙ b.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	if err := sameShape("Mul", a, b); err != nil {
-		return nil, err
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] *= v
 	}
 	return out, nil
 }
@@ -142,33 +118,6 @@ func (m *Matrix) ApplyInPlace(f func(float64) float64) {
 	}
 }
 
-// AddRowVector returns a + v broadcast across rows (v is 1 x cols).
-func AddRowVector(a, v *Matrix) (*Matrix, error) {
-	if v.rows != 1 || v.cols != a.cols {
-		return nil, fmt.Errorf("%w: AddRowVector %dx%d + %dx%d", ErrShape, a.rows, a.cols, v.rows, v.cols)
-	}
-	out := a.Clone()
-	for i := 0; i < a.rows; i++ {
-		row := out.Row(i)
-		for j, bv := range v.data {
-			row[j] += bv
-		}
-	}
-	return out, nil
-}
-
-// SumRows returns the column-wise sum as a 1 x cols matrix.
-func SumRows(a *Matrix) *Matrix {
-	out := New(1, a.cols)
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			out.data[j] += v
-		}
-	}
-	return out
-}
-
 // Sum returns the sum of all elements.
 func (m *Matrix) Sum() float64 {
 	var s float64
@@ -178,25 +127,6 @@ func (m *Matrix) Sum() float64 {
 	return s
 }
 
-// Mean returns the mean of all elements (0 for an empty matrix).
-func (m *Matrix) Mean() float64 {
-	if len(m.data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.data))
-}
-
-// Max returns the maximum element (-Inf for an empty matrix).
-func (m *Matrix) Max() float64 {
-	max := math.Inf(-1)
-	for _, v := range m.data {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // FrobeniusNorm returns the Frobenius (entrywise L2) norm.
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
@@ -204,27 +134,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// L1Norm returns the entrywise L1 norm.
-func (m *Matrix) L1Norm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// Dot returns the Frobenius inner product <a, b>.
-func Dot(a, b *Matrix) (float64, error) {
-	if err := sameShape("Dot", a, b); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s, nil
 }
 
 // ArgMaxRow returns the index of the maximum element in row i.

@@ -235,15 +235,6 @@ func matMulTRange(dst, a, b *Matrix, i0, i1 int, acc bool) {
 // TMatMulInto computes dst = a^T @ b without materializing the transpose.
 // dst must be a.Cols() x b.Cols() and must not alias a or b.
 func TMatMulInto(dst, a, b *Matrix) error {
-	return tMatMulInto(dst, a, b, false)
-}
-
-// TMatMulAccInto computes dst += a^T @ b with no allocation.
-func TMatMulAccInto(dst, a, b *Matrix) error {
-	return tMatMulInto(dst, a, b, true)
-}
-
-func tMatMulInto(dst, a, b *Matrix, acc bool) error {
 	if a.rows != b.rows {
 		return fmt.Errorf("%w: TMatMul (%dx%d)^T @ %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
@@ -251,9 +242,9 @@ func tMatMulInto(dst, a, b *Matrix, acc bool) error {
 		return err
 	}
 	if w := matmulWorkers(a.cols, a.rows*a.cols*b.cols); w > 1 {
-		parallelRows(a.cols, w, func(i0, i1 int) { tMatMulRange(dst, a, b, i0, i1, acc) })
+		parallelRows(a.cols, w, func(i0, i1 int) { tMatMulRange(dst, a, b, i0, i1) })
 	} else {
-		tMatMulRange(dst, a, b, 0, a.cols, acc)
+		tMatMulRange(dst, a, b, 0, a.cols)
 	}
 	return nil
 }
@@ -261,14 +252,12 @@ func tMatMulInto(dst, a, b *Matrix, acc bool) error {
 // tMatMulRange computes dst rows [c0, c1) of dst = a^T @ b (dst row i is
 // column i of a dotted against b). Keeping k outermost streams both a and b
 // row-major; restricting i to the block keeps each worker's writes disjoint.
-func tMatMulRange(dst, a, b *Matrix, c0, c1 int, acc bool) {
+func tMatMulRange(dst, a, b *Matrix, c0, c1 int) {
 	n := b.cols
-	if !acc {
-		for i := c0; i < c1; i++ {
-			orow := dst.data[i*n : (i+1)*n]
-			for j := range orow {
-				orow[j] = 0
-			}
+	for i := c0; i < c1; i++ {
+		orow := dst.data[i*n : (i+1)*n]
+		for j := range orow {
+			orow[j] = 0
 		}
 	}
 	for k := 0; k < a.rows; k++ {
@@ -282,21 +271,6 @@ func tMatMulRange(dst, a, b *Matrix, c0, c1 int, acc bool) {
 			}
 		}
 	}
-}
-
-// AddInto computes dst = a + b elementwise. dst may alias a or b.
-func AddInto(dst, a, b *Matrix) error {
-	if err := sameShape("AddInto", a, b); err != nil {
-		return err
-	}
-	if err := checkDstShape("AddInto", dst, a.rows, a.cols); err != nil {
-		return err
-	}
-	ad, bd2 := a.data, b.data
-	for i := range dst.data {
-		dst.data[i] = ad[i] + bd2[i]
-	}
-	return nil
 }
 
 // SubInto computes dst = a - b elementwise. dst may alias a or b.
@@ -325,17 +299,6 @@ func MulInto(dst, a, b *Matrix) error {
 	ad, bd2 := a.data, b.data
 	for i := range dst.data {
 		dst.data[i] = ad[i] * bd2[i]
-	}
-	return nil
-}
-
-// ApplyInto computes dst = f(a) elementwise. dst may alias a.
-func ApplyInto(dst, a *Matrix, f func(float64) float64) error {
-	if err := checkDstShape("ApplyInto", dst, a.rows, a.cols); err != nil {
-		return err
-	}
-	for i, v := range a.data {
-		dst.data[i] = f(v)
 	}
 	return nil
 }
@@ -403,21 +366,6 @@ func SoftmaxInto(dst, a *Matrix) error {
 		}
 		for j := range orow {
 			orow[j] /= sum
-		}
-	}
-	return nil
-}
-
-// TInto writes the transpose of a into dst (a.Cols() x a.Rows()). dst must
-// not alias a.
-func TInto(dst, a *Matrix) error {
-	if err := checkDstShape("T", dst, a.cols, a.rows); err != nil {
-		return err
-	}
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			dst.data[j*dst.cols+i] = v
 		}
 	}
 	return nil

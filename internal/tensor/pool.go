@@ -63,8 +63,8 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 }
 
 // Put hands m back to the pool for reuse. m must not be used after Put, and
-// must not alias storage still in use elsewhere (never Put a Reshape view or
-// a RowMatrix). Put(nil) and empty matrices are no-ops.
+// must not alias storage still in use elsewhere (never Put a RowMatrix
+// view). Put(nil) and empty matrices are no-ops.
 func (p *Pool) Put(m *Matrix) {
 	if m == nil || cap(m.data) == 0 {
 		return

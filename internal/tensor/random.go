@@ -32,10 +32,3 @@ func GlorotUniform(rng *rand.Rand, fanIn, fanOut int) *Matrix {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	return RandUniform(rng, fanIn, fanOut, -limit, limit)
 }
-
-// HeNormal returns a matrix initialized with the He normal scheme,
-// appropriate for ReLU networks.
-func HeNormal(rng *rand.Rand, fanIn, fanOut int) *Matrix {
-	std := math.Sqrt(2.0 / float64(fanIn))
-	return RandNormal(rng, fanIn, fanOut, 0, std)
-}

@@ -140,18 +140,6 @@ func (r *SVDResult) Truncate(k int) (*SVDResult, error) {
 	return &SVDResult{U: u, S: s, V: v}, nil
 }
 
-// Reconstruct returns U diag(S) V^T.
-func (r *SVDResult) Reconstruct() (*Matrix, error) {
-	us := r.U.Clone()
-	for i := 0; i < us.rows; i++ {
-		row := us.Row(i)
-		for j := range row {
-			row[j] *= r.S[j]
-		}
-	}
-	return MatMulT(us, r.V)
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)

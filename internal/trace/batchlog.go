@@ -70,12 +70,3 @@ func (l *BatchLog) EndErr(idx int, err error, attrs ...Attr) {
 	}
 	l.End(idx, attrs...)
 }
-
-// Recs exposes the recorded spans (read-only by convention once execution
-// has finished).
-func (l *BatchLog) Recs() []BatchRec {
-	if l == nil {
-		return nil
-	}
-	return l.recs
-}

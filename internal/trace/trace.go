@@ -250,9 +250,9 @@ type Config struct {
 	// (default 1; set 0 to trace only explicitly forced requests).
 	// Negative disables sampling entirely.
 	Sample float64
-	// MaxSpans caps one trace's span slab (default 256); spans past the cap
-	// are dropped and counted in TraceData.DroppedSpans.
-	MaxSpans int
+	// maxSpans caps one trace's span slab (default 256; only tests set it);
+	// spans past the cap are dropped and counted in TraceData.DroppedSpans.
+	maxSpans int
 }
 
 // Retention sizes of a tracer's store: the keep-latest ring, the always-keep
@@ -267,8 +267,8 @@ func (c *Config) fill() {
 	if c.Sample == 0 {
 		c.Sample = 1
 	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 256
+	if c.maxSpans <= 0 {
+		c.maxSpans = 256
 	}
 }
 
@@ -296,7 +296,7 @@ func New(cfg Config) *Tracer {
 	cfg.fill()
 	t := &Tracer{cfg: cfg, store: newStore(keepRecent, keepSlow, keepErrors)}
 	t.pool.New = func() any {
-		return &active{tracer: t, spans: make([]span, cfg.MaxSpans)}
+		return &active{tracer: t, spans: make([]span, cfg.maxSpans)}
 	}
 	return t
 }

@@ -101,7 +101,7 @@ func TestSpanTreeSnapshot(t *testing.T) {
 }
 
 func TestSlabOverflowDropsAndCounts(t *testing.T) {
-	tr := New(Config{MaxSpans: 4})
+	tr := New(Config{maxSpans: 4})
 	root := tr.Start("req")
 	for i := 0; i < 10; i++ {
 		c := root.Child("c")
@@ -121,7 +121,7 @@ func TestSlabOverflowDropsAndCounts(t *testing.T) {
 }
 
 func TestSlabPoolRecyclesClean(t *testing.T) {
-	tr := New(Config{MaxSpans: 16})
+	tr := New(Config{maxSpans: 16})
 	first := tr.Start("first")
 	for i := 0; i < 10; i++ {
 		first.Child("junk").End()
@@ -148,7 +148,7 @@ func TestSlabPoolRecyclesClean(t *testing.T) {
 }
 
 func TestConcurrentChildrenRaceFree(t *testing.T) {
-	tr := New(Config{MaxSpans: 2048})
+	tr := New(Config{maxSpans: 2048})
 	root := tr.Start("req")
 	const workers, each = 16, 50
 	var wg sync.WaitGroup
@@ -390,4 +390,13 @@ func FuzzParseTraceparent(f *testing.F) {
 				h, gid, gparent, gsampled, gok, id, parent, sampled)
 		}
 	})
+}
+
+// Recs exposes the recorded spans (read-only by convention once execution
+// has finished).
+func (l *BatchLog) Recs() []BatchRec {
+	if l == nil {
+		return nil
+	}
+	return l.recs
 }

@@ -46,6 +46,8 @@ type Pass struct {
 	// Flags holds per-analyzer options from the driver (for example the
 	// nowallclock allowlist path), keyed by option name.
 	Flags map[string]string
+	// Uses is what the non-test code of every loaded package references.
+	Uses *Uses
 
 	diags *[]Diagnostic
 	nolin *nolintIndex
@@ -59,7 +61,7 @@ type Diagnostic struct {
 }
 
 // NewPass assembles a pass over pkg for a; diagnostics accumulate into sink.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, flags map[string]string, sink *[]Diagnostic) *Pass {
+func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, flags map[string]string, uses *Uses, sink *[]Diagnostic) *Pass {
 	return &Pass{
 		Analyzer:  a,
 		Fset:      fset,
@@ -67,6 +69,7 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 		Pkg:       pkg,
 		TypesInfo: info,
 		Flags:     flags,
+		Uses:      uses,
 		diags:     sink,
 	}
 }

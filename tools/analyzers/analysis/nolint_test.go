@@ -48,7 +48,7 @@ func TestNolintSuppression(t *testing.T) {
 
 	a := &Analyzer{Name: "check"}
 	var diags []Diagnostic
-	pass := NewPass(a, fset, []*ast.File{f}, nil, nil, nil, &diags)
+	pass := NewPass(a, fset, []*ast.File{f}, nil, nil, nil, nil, &diags)
 
 	// One report per function, on its return-statement line.
 	reportLines := map[int]string{

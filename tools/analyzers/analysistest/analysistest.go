@@ -51,12 +51,16 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, flags map[string]s
 		t.Fatalf("no packages matched %v under %s", patterns, dir)
 	}
 
+	uses := analysis.NewUses()
+	for _, pkg := range pkgs {
+		uses.Add(pkg.Path, pkg.Info)
+	}
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
 		if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
 			continue
 		}
-		pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info, flags, &diags)
+		pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info, flags, uses, &diags)
 		if err := a.Run(pass); err != nil {
 			t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
 		}

@@ -1,7 +1,7 @@
 // Command analyze is the multichecker for this repo's invariant suite: it
-// loads the module at -dir, runs the poolbalance, nowallclock, ctxflow, and
-// metricname analyzers over the matched packages, and exits non-zero on any
-// finding. CI runs it through `make analyze`.
+// loads the module at -dir, runs the poolbalance, nowallclock, ctxflow,
+// metricname, and deadexport analyzers over the matched packages, and exits
+// non-zero on any finding. CI runs it through `make analyze`.
 //
 // Usage:
 //
@@ -20,6 +20,7 @@ import (
 
 	"mobiledl/tools/analyzers/analysis"
 	"mobiledl/tools/analyzers/ctxflow"
+	"mobiledl/tools/analyzers/deadexport"
 	"mobiledl/tools/analyzers/internal/load"
 	"mobiledl/tools/analyzers/metricname"
 	"mobiledl/tools/analyzers/nowallclock"
@@ -32,6 +33,7 @@ var suite = []*analysis.Analyzer{
 	nowallclock.Analyzer,
 	ctxflow.Analyzer,
 	metricname.Analyzer,
+	deadexport.Analyzer,
 }
 
 func main() {
@@ -70,13 +72,17 @@ func main() {
 		fatal("%v", err)
 	}
 
+	uses := analysis.NewUses()
+	for _, pkg := range pkgs {
+		uses.Add(pkg.Path, pkg.Info)
+	}
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range suite {
 			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
 				continue
 			}
-			pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info, flags, &diags)
+			pass := analysis.NewPass(a, fset, pkg.Files, pkg.Types, pkg.Info, flags, uses, &diags)
 			if err := a.Run(pass); err != nil {
 				fatal("%s on %s: %v", a.Name, pkg.Path, err)
 			}
