@@ -149,7 +149,8 @@ docs-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) -C tools/analyzers vet ./...
 
-# Full benchmark sweep (paper artifacts + substrate micro-benches).
+# Micro-benchmark sweep (serving throughput + substrate kernels; the paper
+# artifacts run through cmd/paperbench).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 

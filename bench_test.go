@@ -3,69 +3,16 @@ package mobiledl_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"mobiledl/internal/compress"
-	"mobiledl/internal/experiments"
 	"mobiledl/internal/nn"
 	"mobiledl/internal/serve"
 	"mobiledl/internal/tensor"
 )
-
-// benchExperiment runs a full table/figure regeneration per iteration at
-// Quick scale. One bench per paper artifact (DESIGN.md E1-E13); run
-// cmd/paperbench -scale full for the EXPERIMENTS.md numbers.
-func benchExperiment(b *testing.B, name string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Run(io.Discard, name, experiments.Quick); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates Table I (E1): DEEPSERVICE vs five baselines.
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
-
-// BenchmarkFig5 regenerates Fig. 5 (E2): per-participant accuracy vs sessions.
-func BenchmarkFig5(b *testing.B) { benchExperiment(b, "fig5") }
-
-// BenchmarkFig6 regenerates Fig. 6 (E3): multi-view user pattern analysis.
-func BenchmarkFig6(b *testing.B) { benchExperiment(b, "fig6") }
-
-// BenchmarkSelectiveSGD regenerates E4: accuracy vs upload fraction theta.
-func BenchmarkSelectiveSGD(b *testing.B) { benchExperiment(b, "selsgd") }
-
-// BenchmarkFedAvg regenerates E5: FedAvg vs FedSGD rounds/bytes to target.
-func BenchmarkFedAvg(b *testing.B) { benchExperiment(b, "fedavg") }
-
-// BenchmarkDPFedAvg regenerates E6: DP-FedAvg accuracy/epsilon vs noise.
-func BenchmarkDPFedAvg(b *testing.B) { benchExperiment(b, "dpfed") }
-
-// BenchmarkPlacement regenerates E7 (Figs. 2-3): inference placement costs.
-func BenchmarkPlacement(b *testing.B) { benchExperiment(b, "placement") }
-
-// BenchmarkArden regenerates E8: noisy training under private split inference.
-func BenchmarkArden(b *testing.B) { benchExperiment(b, "arden") }
-
-// BenchmarkCompression regenerates E9: Deep Compression ratio vs accuracy.
-func BenchmarkCompression(b *testing.B) { benchExperiment(b, "compress") }
-
-// BenchmarkLowRank regenerates E10: SVD factorization params vs accuracy.
-func BenchmarkLowRank(b *testing.B) { benchExperiment(b, "lowrank") }
-
-// BenchmarkDistillation regenerates E11: distilled vs plain students.
-func BenchmarkDistillation(b *testing.B) { benchExperiment(b, "distill") }
-
-// BenchmarkDeepMood regenerates E12: fusion variants vs shallow baselines.
-func BenchmarkDeepMood(b *testing.B) { benchExperiment(b, "deepmood") }
-
-// BenchmarkPairID regenerates E13: mean pairwise identification metrics.
-func BenchmarkPairID(b *testing.B) { benchExperiment(b, "pairid") }
 
 // BenchmarkServeThroughput measures requests/sec through the serving
 // runtime (registry -> adaptive batcher -> backend) at max batch sizes

@@ -36,10 +36,7 @@ func TestRunUnknown(t *testing.T) {
 }
 
 func TestTable1ShapeHolds(t *testing.T) {
-	rows, err := Table1(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quick(t).table1
 	byName := map[string]Table1Row{}
 	for _, r := range rows {
 		byName[r.Method] = r
@@ -67,10 +64,7 @@ func TestTable1ShapeHolds(t *testing.T) {
 }
 
 func TestFig5TrendHolds(t *testing.T) {
-	points, err := Fig5(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := quick(t).fig5
 	if len(points) < 4 {
 		t.Fatalf("only %d participants evaluated", len(points))
 	}
@@ -93,10 +87,7 @@ func TestFig5TrendHolds(t *testing.T) {
 }
 
 func TestSelSGDMoreUploadMoreAccuracy(t *testing.T) {
-	points, err := SelSGD(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := quick(t).selsgd
 	if len(points) != 3 {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -112,10 +103,7 @@ func TestSelSGDMoreUploadMoreAccuracy(t *testing.T) {
 }
 
 func TestFedAvgBeatsFedSGD(t *testing.T) {
-	rows, _, err := FedAvgComparison(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quick(t).fedavg
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -130,10 +118,8 @@ func TestFedAvgBeatsFedSGD(t *testing.T) {
 }
 
 func TestDPFedNoiseAccuracyTradeoff(t *testing.T) {
-	rows, strong, err := DPFed(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := quick(t)
+	rows, strong := q.dpfed, q.dpStrong
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -152,10 +138,7 @@ func TestDPFedNoiseAccuracyTradeoff(t *testing.T) {
 }
 
 func TestPlacementShape(t *testing.T) {
-	rows, err := Placement(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quick(t).placement
 	// 2 models x 3 networks x 3 placements.
 	if len(rows) != 18 {
 		t.Fatalf("got %d placement rows", len(rows))
@@ -179,10 +162,7 @@ func TestPlacementShape(t *testing.T) {
 }
 
 func TestArdenNoisyTrainingWins(t *testing.T) {
-	rows, err := Arden(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quick(t).arden
 	// Across the perturbed settings, noisy training must win somewhere and
 	// must not lose on average (individual settings are noisy at Quick scale).
 	var cleanSum, noisySum float64
@@ -218,10 +198,7 @@ func TestArdenNoisyTrainingWins(t *testing.T) {
 }
 
 func TestCompressionTradeoff(t *testing.T) {
-	rows, err := Compression(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quick(t).compress
 	// Ratio must grow with aggressiveness.
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Ratio <= rows[i-1].Ratio {
@@ -235,10 +212,7 @@ func TestCompressionTradeoff(t *testing.T) {
 }
 
 func TestLowRankTradeoff(t *testing.T) {
-	rows, err := LowRank(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quick(t).lowrank
 	for _, r := range rows {
 		if r.ParamsAfter > r.ParamsBefore {
 			t.Fatalf("factorization grew the model: %+v", r)
@@ -256,10 +230,7 @@ func TestLowRankTradeoff(t *testing.T) {
 }
 
 func TestDistillationHelps(t *testing.T) {
-	rows, err := Distillation(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quick(t).distill
 	// For the smallest student, distillation should not hurt (usually helps).
 	last := rows[len(rows)-1]
 	if last.DistilledAcc < last.PlainAcc-0.05 {
@@ -269,10 +240,7 @@ func TestDistillationHelps(t *testing.T) {
 }
 
 func TestDeepMoodBeatsShallow(t *testing.T) {
-	rows, err := DeepMoodComparison(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quick(t).deepmood
 	byName := map[string]DeepMoodRow{}
 	for _, r := range rows {
 		byName[r.Method] = r
@@ -298,10 +266,7 @@ func TestDeepMoodBeatsShallow(t *testing.T) {
 }
 
 func TestPairIDRuns(t *testing.T) {
-	res, err := PairID(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quick(t).pairid
 	if res.Pairs != 6 { // C(4,2)
 		t.Fatalf("pairs %d, want 6", res.Pairs)
 	}

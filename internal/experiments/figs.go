@@ -146,8 +146,8 @@ func runFig5(w io.Writer, scale Scale) error {
 	return nil
 }
 
-// Fig6 prints the multi-view pattern analysis of the most active users.
-func runFig6(w io.Writer, scale Scale) error {
+// fig6 summarizes the multi-view typing patterns of the most active users.
+func fig6(scale Scale) ([]data.UserPatternSummary, error) {
 	users := 5
 	sessions := 30
 	if scale == Full {
@@ -160,13 +160,21 @@ func runFig6(w io.Writer, scale Scale) error {
 		Seed:            601,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ids := make([]int, users)
 	for i := range ids {
 		ids[i] = i
 	}
-	sums := data.SummarizeUserPatterns(corpus.Sessions, ids)
+	return data.SummarizeUserPatterns(corpus.Sessions, ids), nil
+}
+
+// runFig6 prints the multi-view pattern analysis of the most active users.
+func runFig6(w io.Writer, scale Scale) error {
+	sums, err := fig6(scale)
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintf(w, "%-6s %9s %9s %9s %8s %8s %8s %8s %8s %8s\n",
 		"user", "dur(ms)", "gap(ms)", "keys/sess", "backsp", "space", "autocorr", "corrXY", "corrXZ", "corrYZ")

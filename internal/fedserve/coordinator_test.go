@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +18,7 @@ import (
 	"mobiledl/internal/federated"
 	"mobiledl/internal/leakcheck"
 	"mobiledl/internal/nn"
+	"mobiledl/internal/privacy"
 	"mobiledl/internal/serve"
 	"mobiledl/internal/tensor"
 )
@@ -217,60 +222,205 @@ func TestCoordinatorDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRoundMatchesReferenceLoop checks the coordinator against the
-// reference loop it shares its pieces with: one round (no selector, no DP)
-// must leave the global where one RunFedAvg-style FanOut + MergeWeighted
-// round over the same cohort and seeds leaves it.
+// TestCoordinatorRoundMatchesReferenceLoop checks the coordinator against a
+// reference loop written out by hand from FanOut and the two server steps:
+// after three rounds its global weights, round stats and counters must equal
+// the reference's bit for bit — for the plain FedAvg merge, for a scored
+// selector with one client whose training always fails, and for the
+// DP-FedAvg step whose noise comes from the coordinator's rng after that
+// round's selection draws.
 func TestCoordinatorRoundMatchesReferenceLoop(t *testing.T) {
-	tk := newTask(t, 6, false)
-	reg := serve.NewRegistry()
-	cfg := tk.config(reg, "ref")
-	cfg.Rounds = 1
-	coord, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
+	const badClient = 2
+	cases := []struct {
+		name     string
+		fraction float64
+		selector bool
+		failing  bool
+		dp       *DPConfig
+	}{
+		{name: "fedavg"},
+		{name: "selector+failure", fraction: 0.7, selector: true, failing: true},
+		{name: "dp", fraction: 0.5, dp: &DPConfig{Clip: 0.5, Sigma: 1}},
 	}
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-	coord.Wait()
-	if st := coord.Status(); st.MergedUpdates != len(tk.shards) {
-		t.Fatalf("merged %d updates, want the whole cohort of %d", st.MergedUpdates, len(tk.shards))
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tk := newTask(t, 6, false)
+			cfg := tk.config(serve.NewRegistry(), "ref")
+			cfg.Rounds = 3
+			cfg.ClientFraction = tc.fraction
+			cfg.DP = tc.dp
+			cfg.AccuracyDrop = 1
+			if tc.failing {
+				sgd := &federated.SGDTrainer{
+					Factory: tk.factory, Classes: tk.classes,
+					Epochs: cfg.LocalEpochs, Batch: cfg.LocalBatch, LR: cfg.LocalLR,
+				}
+				cfg.Trainer = federated.ClientFunc(func(round, k int, shard *data.ClientShard, global []*tensor.Matrix, seed int64) (federated.ClientResult, error) {
+					if k == badClient {
+						return federated.ClientResult{}, errors.New("device offline")
+					}
+					return sgd.TrainClient(shard, global, seed)
+				})
+			}
+			var coordSel, refSel *ScoredSelector
+			if tc.selector {
+				coordSel, refSel = NewScoredSelector(), NewScoredSelector()
+				cfg.Selector = coordSel
+			}
+			coord, err := NewCoordinator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := coord.Start(); err != nil {
+				t.Fatal(err)
+			}
+			coord.Wait()
 
-	// The coordinator's draw at ClientFraction 1: one shuffle of the eligible
-	// set, the cohort sorted, then one seed per client.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	selected := make([]int, len(tk.shards))
-	for k := range selected {
-		selected[k] = k
+			ref := referenceRounds(t, cfg, refSel)
+			if tc.failing && ref.failed == 0 {
+				t.Fatalf("client %d was never selected; the failure path went untested", badClient)
+			}
+			for i, v := range coord.vals {
+				if !slices.Equal(v.Data(), ref.vals[i].Data()) {
+					t.Fatalf("param %d: coordinator diverged from the reference loop", i)
+				}
+			}
+			hist := coord.History()
+			if !slices.Equal(hist, ref.history) {
+				t.Fatalf("round stats differ:\ncoordinator %+v\nreference   %+v", hist, ref.history)
+			}
+			st := coord.Status()
+			if st.MergedUpdates != ref.merged || st.FailedClients != ref.failed ||
+				st.UpBytes != ref.up || st.DownBytes != ref.down || st.Epsilon != ref.epsilon {
+				t.Fatalf("status %+v, want merged %d failed %d up %d down %d epsilon %v",
+					st, ref.merged, ref.failed, ref.up, ref.down, ref.epsilon)
+			}
+			if tc.selector && !maps.Equal(coordSel.Scores(), refSel.Scores()) {
+				t.Fatalf("selector scores %v, want %v", coordSel.Scores(), refSel.Scores())
+			}
+		})
 	}
-	rng.Shuffle(len(selected), func(int, int) {})
-	seeds := make([]int64, len(selected))
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	ref, err := tk.factory()
+}
+
+// refRun is the outcome of referenceRounds.
+type refRun struct {
+	vals           []*tensor.Matrix
+	history        []federated.RoundStats
+	merged, failed int
+	up, down       int64
+	epsilon        float64
+}
+
+// referenceRounds replays cfg's rounds without the coordinator: the
+// coordinator's draw order (shuffle or sel.Pick over every client, the cohort
+// sorted, one seed per client), a sequential FanOut, failed clients dropped,
+// the selector fed before it weights, then MergeWeighted or DPFedAvgStep and
+// an eval of the merged model. Every round here merges at least one update.
+func referenceRounds(t *testing.T, cfg Config, sel *ScoredSelector) refRun {
+	t.Helper()
+	model, err := cfg.Factory()
 	if err != nil {
 		t.Fatal(err)
 	}
-	refVals := federated.ParamValues(ref.Params())
-	trainer := &federated.SGDTrainer{
-		Factory: tk.factory, Classes: tk.classes,
-		Epochs: cfg.LocalEpochs, Batch: cfg.LocalBatch, LR: cfg.LocalLR,
-	}
-	updates, err := federated.FanOut(trainer, tk.shards, 1, selected, refVals, seeds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := federated.MergeWeighted(refVals, updates, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range coord.vals {
-		if !v.Equal(refVals[i], 1e-12) {
-			t.Fatalf("param %d: coordinator round diverged from the reference round", i)
+	out := refRun{vals: federated.ParamValues(model.Params())}
+	paramBytes := int64(nn.NumParams(model.Params())) * federated.BytesPerValue
+	trainer := cfg.Trainer
+	if trainer == nil {
+		trainer = &federated.SGDTrainer{
+			Factory: cfg.Factory, Classes: cfg.Classes,
+			Epochs: cfg.LocalEpochs, Batch: cfg.LocalBatch, LR: cfg.LocalLR,
 		}
 	}
+	eval := federated.AccuracyEval(cfg.EvalX, cfg.EvalY)
+	fraction := cfg.ClientFraction
+	if fraction == 0 {
+		fraction = 1
+	}
+	n := len(cfg.Shards)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for round := 1; round <= cfg.Rounds; round++ {
+		eligible := make([]int, n)
+		for k := range eligible {
+			eligible[k] = k
+		}
+		m := max(1, int(fraction*float64(n)))
+		var selected []int
+		if sel != nil {
+			selected = sel.Pick(rng, eligible, m)
+		} else {
+			rng.Shuffle(n, func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
+			selected = eligible[:m]
+		}
+		sort.Ints(selected)
+		seeds := make([]int64, len(selected))
+		for i := range seeds {
+			seeds[i] = rng.Int63()
+		}
+		updates, err := federated.FanOut(trainer, cfg.Shards, round, selected, out.vals, seeds, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ok []federated.Update
+		var outcomes []ClientOutcome
+		for _, u := range updates {
+			o := ClientOutcome{Client: u.Client, Round: round, Samples: u.N, Loss: u.Loss, Failed: u.Err != nil}
+			if u.Err == nil {
+				ok = append(ok, u)
+				var sq float64
+				for i, w := range u.Weights {
+					for j, v := range w.Data() {
+						d := v - out.vals[i].Data()[j]
+						sq += d * d
+					}
+				}
+				o.DeltaNorm = math.Sqrt(sq)
+			}
+			outcomes = append(outcomes, o)
+		}
+		if len(ok) == 0 {
+			t.Fatalf("round %d merged nothing; the reference covers merging rounds only", round)
+		}
+		var weights []float64
+		if sel != nil {
+			sel.ObserveRound(outcomes)
+			for _, u := range ok {
+				weights = append(weights, float64(u.N)*sel.Weight(u.Client))
+			}
+		}
+		var loss float64
+		if cfg.DP != nil {
+			loss, err = privacy.DPFedAvgStep(rng, out.vals, ok, cfg.DP.Clip, cfg.DP.Sigma, fraction*float64(n))
+		} else {
+			loss, err = federated.MergeWeighted(out.vals, ok, weights)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := eval(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.merged += len(ok)
+		out.failed += len(updates) - len(ok)
+		out.up += int64(len(ok)) * paramBytes
+		out.down += int64(len(selected)) * paramBytes
+		out.history = append(out.history, federated.RoundStats{
+			Round: round, TrainLoss: loss, Accuracy: acc,
+			CumulativeUpBytes: out.up, CumulativeDownBytes: out.down,
+			ParticipatingUsers: len(ok),
+		})
+	}
+	if cfg.DP != nil && cfg.DP.Sigma > 0 {
+		acct, err := privacy.NewMomentsAccountant(cfg.DP.Sigma, fraction)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acct.AccumulateSteps(cfg.Rounds)
+		if out.epsilon, err = acct.Epsilon(1e-5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestCoordinatorDPUsesCohortSamplingRatio: with a fixed Cohort the DP
