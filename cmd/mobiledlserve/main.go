@@ -579,7 +579,7 @@ func installModels(reg *serve.Registry, sparsity float64, bits int, seed int64, 
 				return err
 			}
 			if _, err := reg.LoadCompressed("mlp-compressed", blob,
-				compress.PipelineConfig{Sparsity: sparsity, Bits: bits, Seed: seed}); err != nil {
+				compress.PipelineConfig{Sparsity: sparsity, Bits: bits}); err != nil {
 				return err
 			}
 		}

@@ -61,10 +61,9 @@
 // # Train-to-serve loop
 //
 // internal/fedserve closes the loop between training and serving: a
-// Coordinator runs synchronous federated rounds continuously — device
-// eligibility via federated.Scheduler, parallel client training on
-// federated.FanOut, one server step at the barrier (federated.MergeWeighted,
-// or privacy.DPFedAvgStep with DP on) — and hot-publishes every accepted
+// Coordinator runs synchronous federated rounds continuously — the same
+// federated.Round that RunFedAvg and RunDPFedAvg run, described once in the
+// internal/federated package documentation — and hot-publishes every accepted
 // global model into the serve.Registry with round/accuracy provenance, so
 // predict traffic migrates to better models mid-flight. The /v1/train
 // control plane (start, pause, status) mounts next to the serving API in

@@ -180,11 +180,11 @@ func TestPruneMatrixSparsity(t *testing.T) {
 func TestQuantizeKMeansAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := tensor.RandNormal(rng, 10, 10, 0, 1)
-	q8, err := QuantizeKMeans(rng, m, 8)
+	q8, err := QuantizeKMeans(m, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := QuantizeKMeans(rng, m, 2)
+	q2, err := QuantizeKMeans(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestQuantizePreservesZeros(t *testing.T) {
 	if _, err := PruneMatrix(m, 0.6); err != nil {
 		t.Fatal(err)
 	}
-	q, err := QuantizeKMeans(rng, m, 4)
+	q, err := QuantizeKMeans(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestDeepCompressionPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPipeline(work, PipelineConfig{Sparsity: 0.7, Bits: 4, Seed: 1})
+	res, err := RunPipeline(work, PipelineConfig{Sparsity: 0.7, Bits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

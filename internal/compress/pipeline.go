@@ -2,7 +2,6 @@ package compress
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mobiledl/internal/nn"
 	"mobiledl/internal/tensor"
@@ -30,7 +29,6 @@ func (s StageSizes) Ratio() float64 {
 type PipelineConfig struct {
 	Sparsity float64
 	Bits     int
-	Seed     int64
 }
 
 // PipelineResult is the outcome of compressing one model.
@@ -48,7 +46,6 @@ func RunPipeline(model *nn.Sequential, cfg PipelineConfig) (*PipelineResult, err
 	if cfg.Bits <= 0 {
 		return nil, fmt.Errorf("%w: bits=%d", ErrCompress, cfg.Bits)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	var sizes StageSizes
 	layers := model.Layers()
 	newLayers := make([]nn.Layer, len(layers))
@@ -76,7 +73,7 @@ func RunPipeline(model *nn.Sequential, cfg PipelineConfig) (*PipelineResult, err
 		sizes.PrunedBytes += len(enc)
 
 		// Stage 2: quantize the surviving weights with shared centroids.
-		q, err := QuantizeKMeans(rng, w, cfg.Bits)
+		q, err := QuantizeKMeans(w, cfg.Bits)
 		if err != nil {
 			return nil, err
 		}

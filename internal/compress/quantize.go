@@ -3,7 +3,6 @@ package compress
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mobiledl/internal/tensor"
 )
@@ -25,7 +24,7 @@ type Quantized struct {
 // values by 1-D k-means (Lloyd's algorithm with linearly spaced init, as in
 // [28]), reserving one code for exact zeros. Lloyd's algorithm runs a fixed
 // 20 iterations.
-func QuantizeKMeans(rng *rand.Rand, m *tensor.Matrix, bits int) (*Quantized, error) {
+func QuantizeKMeans(m *tensor.Matrix, bits int) (*Quantized, error) {
 	if bits < 1 || bits > 16 {
 		return nil, fmt.Errorf("%w: %d-bit quantization", ErrCompress, bits)
 	}
@@ -68,8 +67,6 @@ func QuantizeKMeans(rng *rand.Rand, m *tensor.Matrix, bits int) (*Quantized, err
 			centroids[i] = lo + (hi-lo)*float64(i)/float64(k-1)
 		}
 	}
-	_ = rng // kept in the signature for alternative random-init strategies
-
 	assign := make([]int, len(nonzeros))
 	for it := 0; it < 20; it++ {
 		// Assignment step.

@@ -96,7 +96,7 @@ func FederatePrivately(factory federated.ModelFactory, shards []*data.ClientShar
 // CompressForMobile runs the Deep Compression pipeline and reports the
 // realized on-the-wire size reduction.
 func CompressForMobile(model *nn.Sequential, sparsity float64, bits int) (*compress.PipelineResult, error) {
-	return compress.RunPipeline(model, compress.PipelineConfig{Sparsity: sparsity, Bits: bits, Seed: 1})
+	return compress.RunPipeline(model, compress.PipelineConfig{Sparsity: sparsity, Bits: bits})
 }
 
 // PlanInference compares local, cloud and split placement for the given

@@ -87,9 +87,7 @@ func Compression(scale Scale) ([]CompressRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := compress.RunPipeline(work, compress.PipelineConfig{
-			Sparsity: s.sparsity, Bits: s.bits, Seed: 63,
-		})
+		res, err := compress.RunPipeline(work, compress.PipelineConfig{Sparsity: s.sparsity, Bits: s.bits})
 		if err != nil {
 			return nil, err
 		}

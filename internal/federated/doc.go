@@ -22,19 +22,34 @@
 // bit-for-bit (see TestFedAvgParallelMatchesSequential and
 // BenchmarkFedRound).
 //
-// The entry points are thin wrappers over that machinery:
+// # One round: select → Round → step
 //
-//   - RunFedAvg: per round, SelectRound draws the eligible cohort and seeds,
-//     FanOut trains it in parallel, and MergeWeighted — the only FedAvg
-//     server step — folds the n_k/n weighted average into the global model
-//     at the barrier.
-//   - RunSelectiveSGD: stays sequential by design — each participant must
-//     see the freshest global parameters, including uploads from earlier in
-//     the same round.
+// Every synchronous federated round in the tree has the same three parts,
+// and only the first and last differ between callers:
 //
-// Package privacy reuses the same seam for DP-FedAvg (clipped, noised
-// deltas), and internal/fedserve builds the continuous train-to-serve
-// coordinator on FanOut and MergeWeighted: rounds run forever, accepted
-// global models are hot-published into a serve.Registry. See ARCHITECTURE.md at the repository
-// root for the full train → publish → serve loop.
+//  1. Select: the caller draws the cohort and one training seed per client
+//     before any concurrency.
+//  2. Round.Run: FanOut trains the cohort; failed clients are split from
+//     the merged ones; the caller's Step is applied to the merged updates;
+//     the broadcast to every selected client and the upload of every merged
+//     update are added to the cumulative traffic; the round's RoundStats
+//     come back with the updates.
+//  3. Step: the server step folds the merged updates into the global.
+//
+// The three callers:
+//
+//   - RunFedAvg: SelectRound (scheduler gate, ClientFraction sample in
+//     shuffle order), MergeWeighted, eval on the EvalEvery cadence, and an
+//     early stop at TargetAccuracy. A client error aborts the run.
+//   - privacy.RunDPFedAvg: independent Bernoulli(P) selection,
+//     privacy.DPFedAvgStep with its fixed denominator (an empty cohort still
+//     takes the noise-only step), and the moments accountant.
+//   - The fedserve coordinator: scheduler, eligibility, cohort size and a
+//     ClientSelector pick a sorted cohort; its step feeds the selector and
+//     then runs MergeWeighted or DPFedAvgStep; failed clients are counted
+//     and skipped; it evaluates, publishes and checkpoints around the round.
+//
+// RunSelectiveSGD is not a Round: each participant must see the freshest
+// global parameters, including uploads from earlier in the same round, so
+// its participants run sequentially by design.
 package federated

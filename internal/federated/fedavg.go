@@ -82,17 +82,6 @@ func (c *FedAvgConfig) validate(numClients int) error {
 	return nil
 }
 
-// trainer builds the SGD client trainer matching the config.
-func (c *FedAvgConfig) trainer(factory ModelFactory, classes int) *SGDTrainer {
-	return &SGDTrainer{
-		Factory: factory,
-		Classes: classes,
-		Epochs:  c.LocalEpochs,
-		Batch:   c.LocalBatch,
-		LR:      c.LocalLR,
-	}
-}
-
 // SelectRound draws one round's cohort: gate eligibility through the
 // scheduler (advancing it), sample a ClientFraction-sized subset, and
 // pre-draw each selected client's training seed from rng. An empty selection
@@ -110,10 +99,7 @@ func SelectRound(rng *rand.Rand, numClients int, fraction float64, sched *Schedu
 	if len(eligible) == 0 {
 		return nil, nil
 	}
-	m := int(fraction * float64(len(eligible)))
-	if m < 1 {
-		m = 1
-	}
+	m := max(1, int(fraction*float64(len(eligible))))
 	rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
 	selected = eligible[:m]
 	// Deterministic per-client seeds drawn before the concurrent phase.
@@ -125,10 +111,9 @@ func SelectRound(rng *rand.Rand, numClients int, fraction float64, sched *Schedu
 }
 
 // RunFedAvg executes federated averaging over the client shards and returns
-// the final global model plus per-round statistics. It is a thin synchronous
-// wrapper over the Trainer/FanOut machinery: each round selects a cohort,
-// trains it in parallel across the worker pool, and merges the weighted
-// average at a barrier.
+// the final global model plus per-round statistics: each round SelectRound
+// draws the cohort and Round trains it and merges the n_k-weighted average
+// at the barrier. A client error aborts the run.
 func RunFedAvg(factory ModelFactory, shards []*data.ClientShard, classes int, cfg FedAvgConfig) (*nn.Sequential, []RoundStats, error) {
 	if err := cfg.validate(len(shards)); err != nil {
 		return nil, nil, err
@@ -137,65 +122,38 @@ func RunFedAvg(factory ModelFactory, shards []*data.ClientShard, classes int, cf
 	if err != nil {
 		return nil, nil, fmt.Errorf("build global model: %w", err)
 	}
-	globalParams := global.Params()
-	globalVals := ParamValues(globalParams)
-	paramBytes := int64(nn.NumParams(globalParams)) * BytesPerValue
-	trainer := cfg.trainer(factory, classes)
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
+	r := Round{
+		Trainer: &SGDTrainer{
+			Factory: factory,
+			Classes: classes,
+			Epochs:  cfg.LocalEpochs,
+			Batch:   cfg.LocalBatch,
+			LR:      cfg.LocalLR,
+		},
+		Shards:  shards,
+		Global:  ParamValues(global.Params()),
+		Workers: cfg.Workers,
 	}
+	merge := func(g []*tensor.Matrix, merged, _ []Update) (float64, error) { return MergeWeighted(g, merged, nil) }
+	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var stats []RoundStats
-	var upBytes, downBytes int64
-
 	for round := 0; round < cfg.Rounds; round++ {
 		selected, seeds := SelectRound(rng, len(shards), cfg.ClientFraction, cfg.Scheduler)
-		if len(selected) == 0 {
-			stats = append(stats, RoundStats{
-				Round: round, TrainLoss: 0, Accuracy: -1,
-				CumulativeUpBytes: upBytes, CumulativeDownBytes: downBytes,
-			})
-			continue
-		}
-		m := len(selected)
-
-		updates, err := FanOut(trainer, shards, round, selected, globalVals, seeds, cfg.Workers)
+		st, _, err := r.Run(round, selected, seeds, merge)
 		if err != nil {
 			return nil, nil, fmt.Errorf("round %d: %w", round, err)
 		}
-
-		roundLoss, err := MergeWeighted(globalVals, updates, nil)
-		if err != nil {
-			return nil, nil, fmt.Errorf("round %d: %w", round, err)
-		}
-
-		downBytes += int64(m) * paramBytes // model broadcast
-		upBytes += int64(m) * paramBytes   // full-model uploads
-
-		st := RoundStats{
-			Round:               round,
-			TrainLoss:           roundLoss,
-			Accuracy:            -1,
-			CumulativeUpBytes:   upBytes,
-			CumulativeDownBytes: downBytes,
-			ParticipatingUsers:  m,
-		}
-		if cfg.Eval != nil && (round%evalEvery == 0 || round == cfg.Rounds-1) {
-			acc, err := cfg.Eval(global)
-			if err != nil {
+		// A round with no eligible device took no step and is not evaluated.
+		if cfg.Eval != nil && len(selected) > 0 && (round%max(cfg.EvalEvery, 1) == 0 || round == cfg.Rounds-1) {
+			if st.Accuracy, err = cfg.Eval(global); err != nil {
 				return nil, nil, fmt.Errorf("round %d eval: %w", round, err)
 			}
-			st.Accuracy = acc
-			stats = append(stats, st)
-			if cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy {
-				return global, stats, nil
-			}
-			continue
 		}
 		stats = append(stats, st)
+		if cfg.TargetAccuracy > 0 && st.Accuracy >= cfg.TargetAccuracy {
+			break
+		}
 	}
 	return global, stats, nil
 }
@@ -206,9 +164,13 @@ func RunFedAvg(factory ModelFactory, shards []*data.ClientShard, classes int, cf
 // allocates nothing. weights[i] is a_k for updates[i]; nil means a_k = n_k,
 // the paper's plain n_k/n average. A failed update is refused before the
 // global is touched, so callers that tolerate client failures filter first.
-// It returns the sample-weighted mean training loss.
+// It returns the sample-weighted mean training loss; a round with no updates
+// leaves the global as it is and returns 0.
 func MergeWeighted(global []*tensor.Matrix, updates []Update, weights []float64) (float64, error) {
-	if weights != nil && len(weights) != len(updates) {
+	switch {
+	case len(updates) == 0:
+		return 0, nil
+	case weights != nil && len(weights) != len(updates):
 		return 0, fmt.Errorf("%w: %d weights for %d updates", ErrConfig, len(weights), len(updates))
 	}
 	weight := func(i int) float64 {

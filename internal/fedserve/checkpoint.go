@@ -110,8 +110,8 @@ func (c *Coordinator) resume() (bool, error) {
 	c.status.MergedUpdates = wire.MergedUpdates
 	c.status.FailedClients = wire.FailedClients
 	c.status.RejectedRounds = wire.RejectedRounds
-	c.status.UpBytes = wire.UpBytes
-	c.status.DownBytes = wire.DownBytes
+	c.round.UpBytes, c.round.DownBytes = wire.UpBytes, wire.DownBytes
+	c.status.UpBytes, c.status.DownBytes = wire.UpBytes, wire.DownBytes
 	c.status.Published = append([]PublishedVersion(nil), wire.Published...)
 	if c.acct != nil && wire.DPSteps > 0 {
 		c.acct.AccumulateSteps(wire.DPSteps)

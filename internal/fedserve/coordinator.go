@@ -215,18 +215,19 @@ type Status struct {
 // time from any goroutine.
 type Coordinator struct {
 	cfg     Config
-	trainer federated.Trainer
 	global  *nn.Sequential
 	vals    []*tensor.Matrix
 	eval    func(*nn.Sequential) (float64, error)
 	rng     *rand.Rand
 	acct    *privacy.MomentsAccountant
 	dpDenom float64
+	// round runs each round's fan-out, server step and traffic accounting;
+	// it owns the cumulative byte counters Status mirrors.
+	round federated.Round
 
-	paramBytes int64
-	evalEvery  int
-	tracer     *trace.Tracer
-	logger     *slog.Logger
+	evalEvery int
+	tracer    *trace.Tracer
+	logger    *slog.Logger
 
 	doneCh   chan struct{}
 	stopOnce sync.Once
@@ -276,28 +277,25 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			LR:      cfg.LocalLR,
 		}
 	}
+	vals := federated.ParamValues(global.Params())
 	c := &Coordinator{
-		cfg:        cfg,
-		trainer:    trainer,
-		global:     global,
-		vals:       federated.ParamValues(global.Params()),
-		eval:       federated.AccuracyEval(cfg.EvalX, cfg.EvalY),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		paramBytes: int64(nn.NumParams(global.Params())) * federated.BytesPerValue,
-		evalEvery:  cfg.EvalEvery,
-		tracer:     cfg.Tracer,
-		logger:     cfg.Logger,
-		doneCh:     make(chan struct{}),
-		stopCh:     make(chan struct{}),
-		state:      StateIdle,
+		cfg:       cfg,
+		global:    global,
+		vals:      vals,
+		eval:      federated.AccuracyEval(cfg.EvalX, cfg.EvalY),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		round:     federated.Round{Trainer: trainer, Shards: cfg.Shards, Global: vals, Workers: cfg.Workers},
+		evalEvery: max(cfg.EvalEvery, 1),
+		tracer:    cfg.Tracer,
+		logger:    cfg.Logger,
+		doneCh:    make(chan struct{}),
+		stopCh:    make(chan struct{}),
+		state:     StateIdle,
 	}
 	if c.logger == nil {
 		c.logger = slog.Default()
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if c.evalEvery <= 0 {
-		c.evalEvery = 1
-	}
 	// DP sampling ratio: a fixed Cohort out of the population when set, else
 	// ClientFraction. It prices epsilon and fixes the averaging denominator
 	// q*W (the expected cohort, at least one client).
@@ -463,8 +461,8 @@ func (c *Coordinator) awaitRunnable() bool {
 	return c.state == StateRunning
 }
 
-// runRound executes one synchronous round: select the cohort, train it on
-// federated.FanOut (a barrier), apply one server step, and on the cadences
+// runRound executes one synchronous round: select the cohort, hand it to
+// federated.Round (fan-out barrier, then serverStep), and on the cadences
 // evaluate, maybe publish, and checkpoint. It reports whether a cohort was
 // selected at all.
 //
@@ -482,8 +480,17 @@ func (c *Coordinator) runRound(round int) bool {
 	selected, seeds := c.selectCohort(round)
 	sel.End(trace.Num("cohort", float64(len(selected))))
 
+	// The fan-out span ends at the barrier, where Round hands the updates to
+	// the server step; if the step never runs, FanOut refused the cohort.
 	fan := sp.Child("fanout")
-	updates, err := federated.FanOut(c.trainer, c.cfg.Shards, round, selected, c.vals, seeds, c.cfg.Workers)
+	var ms trace.Span
+	stepped := false
+	st, updates, err := c.round.Run(round, selected, seeds, func(global []*tensor.Matrix, merged, failed []federated.Update) (float64, error) {
+		stepped = true
+		fan.End()
+		ms = sp.Child("merge")
+		return c.serverStep(round, global, merged, failed)
+	})
 	for _, u := range updates {
 		cs := fan.ChildAt("client", u.Start, u.End.Sub(u.Start),
 			trace.Num("client", float64(u.Client)),
@@ -492,10 +499,11 @@ func (c *Coordinator) runRound(round int) bool {
 			cs.Annotate(trace.Str("error", u.Err.Error()))
 		}
 	}
-	fan.EndErr(err, trace.Num("collected", float64(len(updates))))
-
-	ms := sp.Child("merge")
-	c.merge(round, updates, err)
+	if !stepped {
+		fan.EndErr(err)
+	}
+	fan.Annotate(trace.Num("collected", float64(len(updates))))
+	c.record(st, len(updates)-st.ParticipatingUsers, err)
 	ms.End(trace.Num("merged_total", float64(c.status.MergedUpdates)))
 
 	// Evaluate on the cadence, but only when training actually advanced:
@@ -538,12 +546,7 @@ func (c *Coordinator) selectCohort(round int) (selected []int, seeds []int64) {
 	if c.cfg.Cohort > 0 {
 		m = c.cfg.Cohort
 	}
-	if m < 1 {
-		m = 1
-	}
-	if m > len(eligible) {
-		m = len(eligible)
-	}
+	m = min(max(m, 1), len(eligible))
 	if c.cfg.Selector != nil {
 		selected = c.cfg.Selector.Pick(c.rng, eligible, m)
 	} else {
@@ -558,101 +561,78 @@ func (c *Coordinator) selectCohort(round int) (selected []int, seeds []int64) {
 		seeds[i] = c.rng.Int63()
 	}
 	c.mu.Lock()
-	c.status.DownBytes += int64(len(selected)) * c.paramBytes // model broadcast
 	c.status.InFlight = len(selected)
 	c.mu.Unlock()
 	return selected, seeds
 }
 
-// merge folds the round's client updates into the global model with one
-// server step — federated.MergeWeighted (n_k, times the Selector's reputation
-// when one is configured) or privacy.DPFedAvgStep — and records the round
-// stats. Failed clients are counted and skipped. fanErr is FanOut's refusal
-// of a malformed cohort (a Selector that picked a client out of range).
-func (c *Coordinator) merge(round int, updates []federated.Update, fanErr error) {
-	lastErr := fanErr
-	sel := c.cfg.Selector
-	merged := make([]federated.Update, 0, len(updates))
-	var failed int
-	var outcomes []ClientOutcome
-	for _, u := range updates {
-		out := ClientOutcome{Client: u.Client, Round: round, Samples: u.N, Loss: u.Loss}
-		if u.Err != nil {
-			failed++
-			out.Failed = true
-			lastErr = fmt.Errorf("client %d (round %d): %w", u.Client, round, u.Err)
-		} else {
-			merged = append(merged, u)
-			if sel != nil {
-				out.DeltaNorm = deltaNorm(u.Weights, c.vals)
-			}
-		}
-		if sel != nil {
-			outcomes = append(outcomes, out)
-		}
-	}
-	// Feed the selector before merging, so an update flagged anomalous this
-	// round is down-weighted in this round's own merge.
+// serverStep is the coordinator's federated.Step. The Selector, when one is
+// configured, observes the round's outcomes first, so an update flagged
+// anomalous this round is down-weighted in this round's own merge; then one
+// federated.MergeWeighted (n_k times the Selector's weight) or
+// privacy.DPFedAvgStep folds the merged updates into the global. A round
+// that merged nothing takes no step.
+func (c *Coordinator) serverStep(round int, global []*tensor.Matrix, merged, failed []federated.Update) (float64, error) {
 	var weights []float64
-	if sel != nil {
+	if sel := c.cfg.Selector; sel != nil {
+		outcomes := make([]ClientOutcome, 0, len(merged)+len(failed))
+		for _, u := range merged {
+			outcomes = append(outcomes, ClientOutcome{Client: u.Client, Round: round, Samples: u.N, Loss: u.Loss,
+				DeltaNorm: deltaNorm(u.Weights, global)})
+		}
+		for _, u := range failed {
+			outcomes = append(outcomes, ClientOutcome{Client: u.Client, Round: round, Samples: u.N, Loss: u.Loss, Failed: true})
+		}
 		sel.ObserveRound(outcomes)
 		weights = make([]float64, len(merged))
 		for i, u := range merged {
 			weights[i] = float64(u.N) * sel.Weight(u.Client)
 		}
 	}
-
-	var roundLoss float64
-	if len(merged) > 0 {
-		var err error
-		if c.cfg.DP != nil {
-			roundLoss, err = privacy.DPFedAvgStep(c.rng, c.vals, merged, c.cfg.DP.Clip, c.cfg.DP.Sigma, c.dpDenom)
-		} else {
-			roundLoss, err = federated.MergeWeighted(c.vals, merged, weights)
-		}
-		if err != nil {
-			lastErr = err
-		}
+	switch {
+	case len(merged) == 0:
+		return 0, nil
+	case c.cfg.DP != nil:
+		return privacy.DPFedAvgStep(c.rng, global, merged, c.cfg.DP.Clip, c.cfg.DP.Sigma, c.dpDenom)
 	}
+	return federated.MergeWeighted(global, merged, weights)
+}
 
-	if lastErr != nil {
+// record folds one round's stats into the status, the privacy spend and the
+// round log. failed counts the clients whose training errored; err is the
+// round's error, which the coordinator reports and survives.
+func (c *Coordinator) record(st federated.RoundStats, failed int, err error) {
+	merged := st.ParticipatingUsers
+	if err != nil {
+		err = fmt.Errorf("round %d: %w", st.Round, err)
 		c.logger.Warn("round had client or merge failures",
-			"model", c.cfg.Model, "round", round, "failed", failed, "err", lastErr)
+			"model", c.cfg.Model, "round", st.Round, "failed", failed, "err", err)
 	}
 	c.logger.Debug("round merged",
-		"model", c.cfg.Model, "round", round,
-		"merged", len(merged), "failed", failed, "loss", roundLoss)
+		"model", c.cfg.Model, "round", st.Round,
+		"merged", merged, "failed", failed, "loss", st.TrainLoss)
 
-	st := federated.RoundStats{
-		Round:              round,
-		TrainLoss:          roundLoss,
-		Accuracy:           -1,
-		ParticipatingUsers: len(merged),
-	}
-
-	c.mergedSinceEval += len(merged)
-	c.mergedSinceCk += len(merged)
+	c.mergedSinceEval += merged
+	c.mergedSinceCk += merged
 
 	c.mu.Lock()
-	c.status.Round = round
+	c.status.Round = st.Round
 	c.status.InFlight = 0
-	c.status.MergedUpdates += len(merged)
+	c.status.MergedUpdates += merged
 	c.status.FailedClients += failed
-	c.status.UpBytes += int64(len(merged)) * c.paramBytes
-	if len(merged) > 0 {
-		c.status.LastLoss = roundLoss
+	c.status.UpBytes, c.status.DownBytes = st.CumulativeUpBytes, st.CumulativeDownBytes
+	if merged > 0 {
+		c.status.LastLoss = st.TrainLoss
 	}
 	switch {
-	case lastErr != nil:
-		c.status.LastError = lastErr.Error()
-	case len(merged) > 0:
+	case err != nil:
+		c.status.LastError = err.Error()
+	case merged > 0:
 		// A clean merge clears any stale error, so /v1/train/status reports
 		// current health rather than ancient history.
 		c.status.LastError = ""
 	}
-	st.CumulativeUpBytes = c.status.UpBytes
-	st.CumulativeDownBytes = c.status.DownBytes
-	if c.acct != nil && len(merged) > 0 {
+	if c.acct != nil && merged > 0 {
 		c.acct.AccumulateSteps(1)
 		if eps, err := c.acct.Epsilon(c.dpDelta()); err == nil {
 			c.status.Epsilon = eps

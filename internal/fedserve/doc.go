@@ -7,17 +7,13 @@
 //
 //  1. gates device eligibility through federated.Scheduler (the paper's
 //     "idle, plugged in, on WiFi" constraint) and samples a cohort,
-//  2. trains the cohort on federated.FanOut — a GOMAXPROCS-bounded worker
-//     pool behind the federated.Trainer seam — and waits for all of it, so
-//     a fixed seed gives the same round at any worker count; a client that
-//     fails is counted and skipped,
-//  3. applies one server step: federated.MergeWeighted, the n_k-weighted
-//     average (times a ClientSelector's reputation when one is configured),
-//     or, with a DPConfig, privacy.DPFedAvgStep — per-client joint-L2 clip,
-//     fixed-denominator average, Gaussian noise — with a moments accountant
-//     reporting the cumulative epsilon in Status; these are the functions
-//     RunFedAvg and RunDPFedAvg call, and
-//  4. on the EvalEvery cadence, evaluates the global model on the held-out
+//  2. runs it as one federated.Round — parallel fan-out, a failed client
+//     counted and skipped, then one server step: federated.MergeWeighted
+//     (times a ClientSelector's reputation when one is configured) or, with
+//     a DPConfig, privacy.DPFedAvgStep, with a moments accountant reporting
+//     the cumulative epsilon in Status (the package federated documentation
+//     describes the round once), and
+//  3. when the round merged anything, on the EvalEvery cadence, evaluates the global model on the held-out
 //     set and publishes it — weights copied into a fresh factory model,
 //     installed via Registry.InstallWithMeta with round/accuracy
 //     provenance — unless it regresses past AccuracyDrop below the best

@@ -63,7 +63,9 @@ type DPFedAvgResult struct {
 	Accountant *MomentsAccountant
 }
 
-// RunDPFedAvg executes user-level DP federated averaging.
+// RunDPFedAvg executes user-level DP federated averaging: each round draws
+// an independent Bernoulli(P) cohort, federated.Round trains it and applies
+// DPFedAvgStep, and the accountant charges one noisy release.
 func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, classes int, cfg DPFedAvgConfig) (*DPFedAvgResult, error) {
 	if err := cfg.validate(len(shards)); err != nil {
 		return nil, err
@@ -72,7 +74,6 @@ func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, cla
 	if err != nil {
 		return nil, err
 	}
-	globalParams := global.Params()
 
 	var acct *MomentsAccountant
 	if cfg.Sigma > 0 {
@@ -83,28 +84,27 @@ func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, cla
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
+	// A GOMAXPROCS-sized pool; the result is the same for any size.
+	r := federated.Round{
+		Trainer: &federated.SGDTrainer{
+			Factory: factory,
+			Classes: classes,
+			Epochs:  cfg.LocalEpochs,
+			Batch:   cfg.LocalBatch,
+			LR:      cfg.LocalLR,
+		},
+		Shards: shards,
+		Global: federated.ParamValues(global.Params()),
 	}
-	paramBytes := int64(nn.NumParams(globalParams)) * federated.BytesPerValue
+	// Fixed denominator: expected participation mass q*W with uniform
+	// client weights w_k = 1. An empty cohort still takes the step: the
+	// release is noise alone.
+	expectedMass := cfg.P * float64(len(shards))
+	step := func(g []*tensor.Matrix, merged, _ []federated.Update) (float64, error) {
+		return DPFedAvgStep(rng, g, merged, cfg.Clip, cfg.Sigma, expectedMass)
+	}
 
 	var stats []federated.RoundStats
-	var upBytes, downBytes int64
-
-	// Fixed denominator: expected participation mass q*W with uniform
-	// client weights w_k = 1.
-	expectedMass := cfg.P * float64(len(shards))
-
-	trainer := &federated.SGDTrainer{
-		Factory: factory,
-		Classes: classes,
-		Epochs:  cfg.LocalEpochs,
-		Batch:   cfg.LocalBatch,
-		LR:      cfg.LocalLR,
-	}
-	globalVals := federated.ParamValues(globalParams)
-
 	for round := 0; round < cfg.Rounds; round++ {
 		// Independent Bernoulli(P) selection, with per-client seeds drawn in
 		// client order so the parallel fan-out reproduces the sequential run.
@@ -117,37 +117,17 @@ func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, cla
 			selected = append(selected, k)
 			seeds = append(seeds, rng.Int63())
 		}
-		participating := len(selected)
-		// A GOMAXPROCS-sized pool; the result is the same for any size.
-		updates, err := federated.FanOut(trainer, shards, round, selected, globalVals, seeds, 0)
+		st, _, err := r.Run(round, selected, seeds, step)
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
-		// An empty cohort still takes the step: the release is noise alone.
-		roundLoss, err := DPFedAvgStep(rng, globalVals, updates, cfg.Clip, cfg.Sigma, expectedMass)
-		if err != nil {
-			return nil, fmt.Errorf("round %d: %w", round, err)
-		}
-		upBytes += int64(participating) * paramBytes
-		downBytes += int64(participating) * paramBytes
 		if acct != nil {
 			acct.AccumulateSteps(1)
 		}
-
-		st := federated.RoundStats{
-			Round:               round,
-			TrainLoss:           roundLoss,
-			Accuracy:            -1,
-			CumulativeUpBytes:   upBytes,
-			CumulativeDownBytes: downBytes,
-			ParticipatingUsers:  participating,
-		}
-		if cfg.Eval != nil && (round%evalEvery == 0 || round == cfg.Rounds-1) {
-			acc, err := cfg.Eval(global)
-			if err != nil {
+		if cfg.Eval != nil && (round%max(cfg.EvalEvery, 1) == 0 || round == cfg.Rounds-1) {
+			if st.Accuracy, err = cfg.Eval(global); err != nil {
 				return nil, err
 			}
-			st.Accuracy = acc
 		}
 		stats = append(stats, st)
 	}
@@ -160,8 +140,8 @@ func RunDPFedAvg(factory federated.ModelFactory, shards []*data.ClientShard, cla
 // expected cohort mass rather than the realised one, so the moments
 // accountant applies), and Gaussian noise of std sigma·clip/denom is added
 // to that average. It is the one implementation of the step: RunDPFedAvg and
-// the fedserve coordinator both call it. A failed update is refused before
-// global is touched. It returns the mean client loss (0 for an empty cohort).
+// the fedserve coordinator both hand it to federated.Round. A failed update
+// is refused before global is touched. It returns the mean client loss (0 for an empty cohort).
 func DPFedAvgStep(rng *rand.Rand, global []*tensor.Matrix, updates []federated.Update, clip, sigma, denom float64) (float64, error) {
 	var loss float64
 	for _, u := range updates {

@@ -237,7 +237,7 @@ func TestRegistryLoadCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, err := reg.LoadCompressed("mlp", blob,
-		compress.PipelineConfig{Sparsity: 0.5, Bits: 4, Seed: 1})
+		compress.PipelineConfig{Sparsity: 0.5, Bits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,9 +246,8 @@ func (s Span) AttachLog(l *BatchLog) {
 
 // Config tunes a Tracer. Zero values take the documented defaults.
 type Config struct {
-	// Sample is the head-sampling probability consulted by Sample()
-	// (default 1; set 0 to trace only explicitly forced requests).
-	// Negative disables sampling entirely.
+	// Sample is the head-sampling probability consulted by Sample(); 0 or
+	// less traces only requests that join a sampled remote trace.
 	Sample float64
 	// maxSpans caps one trace's span slab (default 256; only tests set it);
 	// spans past the cap are dropped and counted in TraceData.DroppedSpans.
@@ -264,9 +263,6 @@ const (
 )
 
 func (c *Config) fill() {
-	if c.Sample == 0 {
-		c.Sample = 1
-	}
 	if c.maxSpans <= 0 {
 		c.maxSpans = 256
 	}

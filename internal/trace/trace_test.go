@@ -63,7 +63,7 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 }
 
 func TestSpanTreeSnapshot(t *testing.T) {
-	tr := New(Config{})
+	tr := New(Config{Sample: 1})
 	root := tr.Start("req", Str("model", "m"))
 	if !root.Active() {
 		t.Fatal("root span inactive")
@@ -257,9 +257,40 @@ func TestNilTracerAndZeroSpanAreNoOps(t *testing.T) {
 	if tr.Get("deadbeef") != nil {
 		t.Fatal("nil tracer returned a trace")
 	}
-	// Sample <= 0 disables head sampling on a live tracer.
-	if New(Config{Sample: -1}).Sample() {
-		t.Fatal("negative sample rate sampled")
+}
+
+// TestSampleRate: Sample is the head-sampling probability as written —
+// 0 and negative both mean "no head sampling" — while a request joining a
+// sampled remote trace is traced at every rate.
+func TestSampleRate(t *testing.T) {
+	id, parent, _, ok := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	if !ok {
+		t.Fatal("control header did not parse")
+	}
+	for _, tc := range []struct {
+		sample   float64
+		min, max int // sampled draws out of 1000
+	}{
+		{-1, 0, 0},
+		{0, 0, 0},
+		{0.5, 400, 600},
+		{1, 1000, 1000},
+	} {
+		tr := New(Config{Sample: tc.sample})
+		n := 0
+		for i := 0; i < 1000; i++ {
+			if tr.Sample() {
+				n++
+			}
+		}
+		if n < tc.min || n > tc.max {
+			t.Errorf("Sample %v: %d of 1000 draws sampled, want %d..%d", tc.sample, n, tc.min, tc.max)
+		}
+		sp := tr.StartRemote("req", id, parent)
+		sp.End()
+		if !sp.Active() || tr.Get(id.String()) == nil {
+			t.Errorf("Sample %v: a joined remote trace was not recorded", tc.sample)
+		}
 	}
 }
 
@@ -291,7 +322,7 @@ func TestBatchLogNestingAndAttach(t *testing.T) {
 	}
 
 	// Materialize into a trace: structure preserved under the attach point.
-	tr := New(Config{})
+	tr := New(Config{Sample: 1})
 	root := tr.Start("req")
 	batch := root.Child("batch")
 	batch.AttachLog(l)
@@ -322,7 +353,7 @@ func TestStartRemoteJoinsCallerTrace(t *testing.T) {
 	if !ok || !sampled {
 		t.Fatal("control header did not parse")
 	}
-	tr := New(Config{})
+	tr := New(Config{Sample: 1})
 	sp := tr.StartRemote("req", id, parent)
 	if sp.TraceID() != id.String() {
 		t.Fatalf("trace id %s, want caller's %s", sp.TraceID(), id)
@@ -343,7 +374,7 @@ func TestStartRemoteJoinsCallerTrace(t *testing.T) {
 }
 
 func TestChildAtRecordsExplicitWindow(t *testing.T) {
-	tr := New(Config{})
+	tr := New(Config{Sample: 1})
 	root := tr.Start("req")
 	start := time.Now().Add(-10 * time.Millisecond)
 	root.ChildAt("q", start, 4*time.Millisecond, Num("n", 1))
