@@ -119,6 +119,9 @@ type FedAvgRow struct {
 	RoundsToHit   int
 	MBToHit       float64
 	FinalAccuracy float64
+	// FinalLoss is the last round's training loss at full precision, the
+	// number that moves when the aggregation arithmetic drifts by an ulp.
+	FinalLoss float64
 }
 
 // FedAvgComparison runs naive distributed SGD (E=1, full batch) against
@@ -167,6 +170,7 @@ func FedAvgComparison(scale Scale) ([]FedAvgRow, float64, error) {
 			RoundsToHit:   federated.RoundsToTarget(stats, target),
 			MBToHit:       float64(federated.BytesToTarget(stats, target)) / 1e6,
 			FinalAccuracy: final.Accuracy,
+			FinalLoss:     final.TrainLoss,
 		})
 	}
 	return rows, target, nil
@@ -197,6 +201,8 @@ type DPFedRow struct {
 	Sigma    float64
 	Accuracy float64
 	Epsilon  float64 // moments accountant, delta=1e-5 (Inf if sigma=0)
+	// FinalLoss is the last round's training loss (see FedAvgRow).
+	FinalLoss float64
 }
 
 // DPFed sweeps the DP-FedAvg noise multiplier and reports accuracy and the
@@ -229,7 +235,7 @@ func DPFed(scale Scale) ([]DPFedRow, float64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		row := DPFedRow{Sigma: sigma, Epsilon: -1}
+		row := DPFedRow{Sigma: sigma, Epsilon: -1, FinalLoss: res.Stats[len(res.Stats)-1].TrainLoss}
 		for i := len(res.Stats) - 1; i >= 0; i-- {
 			if res.Stats[i].Accuracy >= 0 {
 				row.Accuracy = res.Stats[i].Accuracy
